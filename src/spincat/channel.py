@@ -125,7 +125,7 @@ def _noise_superop(s: float, order: int, d_out: int, d_in: int) -> np.ndarray:
     zs, ws = gaussian_measure_nodes(s, order, envelope=1.0)
     flat = np.empty((len(zs), d_out * d_in), dtype=complex)
     for k, z in enumerate(zs):
-        flat[k] = displacement_matrix(z, d_out - 1)[:, :d_in].ravel()
+        flat[k] = displacement_matrix(z, d_out - 1, d_in).ravel()
     S = ((flat.T * ws) @ flat.conj()).reshape(d_out, d_in, d_out, d_in)
     S.setflags(write=False)
     if len(_SUPEROP_CACHE) >= _SUPEROP_CACHE_LIMIT:
@@ -238,7 +238,9 @@ def channel_wigner_convolution(params: CatParams, ch: ChannelParams, point: Phas
 
     form = "closed": kernel mean of the channel output (smoothed kernel
     elements; matches the Kraus route).  form = "gaussian": the
-    Gaussian-branch surrogate convolved term by term.
+    Gaussian-branch surrogate convolved term by term.  Both forms also take
+    a batch of points (point.alpha and point.beta arrays) and then return an
+    array; the grid engine evaluates a whole noisy sweep in one call.
     """
     if form == "closed":
         if params.twoj > 1:

@@ -124,48 +124,51 @@ def _as_n_max(cutoff) -> int:
     return int(cutoff)
 
 
-def displacement_matrix(alpha: complex, cutoff) -> np.ndarray:
-    """Single-mode displacement matrix <p|D(alpha)|q| for p, q <= n_max.
+def displacement_matrix(alpha: complex, cutoff, ncols: int | None = None) -> np.ndarray:
+    """Single-mode displacement matrix <p|D(alpha)|q> for p <= n_max, q < ncols.
 
-    ``cutoff`` is an int n_max or a FockCutoff (mode-1 cutoff is used).  All
-    returned entries are the exact infinite-dimensional matrix elements; the
-    truncation only limits the index range.  Columns therefore have norm <= 1,
-    reaching 1 only when the displaced state fits under the cutoff.
+    ``cutoff`` is an int n_max or a FockCutoff (mode-1 cutoff is used);
+    ``ncols`` defaults to all n_max + 1 columns.  All returned entries are the
+    exact infinite-dimensional matrix elements; the truncation only limits the
+    index range.  Columns therefore have norm <= 1, reaching 1 only when the
+    displaced state fits under the cutoff.  The recurrence stops at the
+    requested columns, and the result equals the leading columns of the full
+    matrix bit for bit.
     """
     if not np.isfinite(alpha):
         raise ValueError(f"displacement amplitude must be finite, got {alpha}")
     n_max = _as_n_max(cutoff)
     d = n_max + 1
+    ncols = d if ncols is None else min(int(ncols), d)
     gamma = complex(alpha)
     if gamma == 0:
-        return np.eye(d, dtype=complex)
+        return np.eye(d, ncols, dtype=complex)
 
     x = abs(gamma) ** 2
     lg = np.array([lgamma(k + 1.0) for k in range(d)])
-    offsets = np.arange(d, dtype=float)
 
-    def diagonals(g: complex) -> np.ndarray:
-        # E[a, k] = <k+a|D(g)|k>, one row per diagonal offset a.
-        E = np.zeros((d, d), dtype=complex)
-        log_first = -x / 2 + offsets * np.log(abs(g)) - 0.5 * lg
+    def diagonals(g: complex, n_offsets: int) -> np.ndarray:
+        # E[a, k] = <k+a|D(g)|k> for diagonal offsets a < n_offsets, k < ncols.
+        offsets = np.arange(n_offsets, dtype=float)
+        E = np.zeros((n_offsets, ncols), dtype=complex)
+        log_first = -x / 2 + offsets * np.log(abs(g)) - 0.5 * lg[:n_offsets]
         E[:, 0] = np.exp(log_first) * np.exp(1j * offsets * np.angle(g))
-        if d > 1:
+        if ncols > 1:
             E[:, 1] = (1 + offsets - x) * E[:, 0] / np.sqrt(1 + offsets)
-        for k in range(1, d - 1):
+        for k in range(1, ncols - 1):
             E[:, k + 1] = (
                 (2 * k + 1 + offsets - x) * E[:, k]
                 - np.sqrt(k * (k + offsets)) * E[:, k - 1]
             ) / np.sqrt((k + 1) * (k + 1 + offsets))
         return E
 
-    lower = diagonals(gamma)
-    upper = diagonals(-gamma)  # <p|D(gamma)|q> = conj(<q|D(-gamma)|p>) for q > p
-    D = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        k = np.arange(d - a)
-        D[k + a, k] = lower[a, : d - a]
-        if a > 0:
-            D[k, k + a] = np.conj(upper[a, : d - a])
+    lower = diagonals(gamma, d)
+    upper = diagonals(-gamma, ncols)  # <p|D(gamma)|q> = conj(<q|D(-gamma)|p>) for q > p
+    p, q = np.indices((d, ncols))
+    below = p >= q
+    D = np.empty((d, ncols), dtype=complex)
+    D[below] = lower[(p - q)[below], q[below]]
+    D[~below] = np.conj(upper[(q - p)[~below], p[~below]])
     return D
 
 
@@ -175,17 +178,16 @@ def parity_matrix(cutoff) -> np.ndarray:
     return np.diag((-1.0) ** np.arange(n_max + 1))
 
 
-def single_mode_kernel(alpha: complex, cutoff) -> np.ndarray:
-    """Displaced parity kernel Delta(alpha) = D(2 alpha) Pi for one mode.
+def single_mode_kernel(alpha: complex, cutoff, ncols: int | None = None) -> np.ndarray:
+    """Displaced parity kernel Delta(alpha) = D(2 alpha) Pi for one mode, its
+    first ``ncols`` columns (all by default).
 
     Built as a column sign flip of the displacement matrix, so every entry is
     the exact operator matrix element (no truncated intermediate sums) and the
-    result is Hermitian to rounding.
+    full square result is Hermitian to rounding.
     """
-    n_max = _as_n_max(cutoff)
-    D = displacement_matrix(2 * alpha, n_max)
-    signs = (-1.0) ** np.arange(n_max + 1)
-    return D * signs[None, :]
+    D = displacement_matrix(2 * alpha, _as_n_max(cutoff), ncols)
+    return D * (-1.0) ** np.arange(D.shape[1])
 
 
 def smoothed_kernel_element(p: int, q: int, alpha: complex, noise: float = 0.0) -> complex:
@@ -343,8 +345,8 @@ def displacement_column_defect(alpha: complex, n_max: int, q_max: int) -> float:
     This is the trace mass the truncation pushes above n_max; it bounds the
     error of kernel-mean quantities computed from those columns.
     """
-    D = displacement_matrix(alpha, n_max)
-    norms = np.linalg.norm(D[:, : q_max + 1], axis=0)
+    D = displacement_matrix(alpha, n_max, q_max + 1)
+    norms = np.linalg.norm(D, axis=0)
     return float(np.max(1.0 - norms))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["QUADRATURES", "GridSpec", "SweepResult", "RECORD_COLUMNS"]
+__all__ = ["QUADRATURES", "GridSpec", "SweepResult", "RECORD_COLUMNS", "axis_groups"]
 
 QUADRATURES = ("q1", "p1", "q2", "p2")
 RECORD_COLUMNS = ("q1", "p1", "q2", "p2", "W", "W2", "I", "budget")
@@ -62,6 +62,22 @@ class GridSpec:
         for (name, *_), grid in zip(self.axes, mesh):
             coords[:, QUADRATURES.index(name)] = grid.ravel()
         return coords
+
+    def amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mode amplitudes (alpha, beta) of every point, in coordinates() order;
+        alpha = (q1 + i p1) / sqrt(2), beta = (q2 + i p2) / sqrt(2)."""
+        c = self.coordinates()
+        return (c[:, 0] + 1j * c[:, 1]) / np.sqrt(2), (c[:, 2] + 1j * c[:, 3]) / np.sqrt(2)
+
+
+def axis_groups(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct entries of ``values`` and, for each, the indices where it
+    occurs (ascending).  Grid engines build per-value factors once and
+    evaluate every point of a group against them."""
+    distinct, inverse = np.unique(np.ravel(values), return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.searchsorted(inverse[order], np.arange(len(distinct) + 1))
+    return distinct, [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)

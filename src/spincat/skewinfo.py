@@ -13,22 +13,38 @@ Keeping the computed square makes the chain of inequalities
 exact at any truncation (a truncated kernel is a contraction), so the
 symmetry/asymmetry budget I + W^2 can never spuriously exceed 1.  For pure
 states the budget saturates: I + W^2 = 1 up to the neglected Fock tails.
+
+Grids are evaluated mode by mode: Delta(alpha, beta) = Delta(alpha) (x)
+Delta(beta), and each distinct alpha (beta) gets its factors once, the kernel
+block k on the state's support and the Gram matrix g = c^H c of its kernel
+columns c (the same block of Delta^2).  With rho[a,b,x,y], S = sqrt(rho):
+
+    W               = sum rho[a,b,x,y] k1[x,a] k2[y,b]
+    Tr[rho Delta^2] = the same sum with g1, g2
+    Tr[(S Delta)^2] = sum P[b,d,f,e] k2[d,f] k2[e,b],
+        P[b,d,f,e]  = sum_{a,c} A[a,b,d,c] A[c,f,e,a],  A[a,b,d,c] = sum_x S[a,b,x,d] k1[x,c].
+
+The rho and P contractions run once per distinct alpha, in one
+SkewEvaluator.values call for all of that alpha's points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fockspace import (
-    SQRT_EIG_ABORT,
     DensityMatrix,
+    FockCutoff,
     adequate_n_max,
+    hermitian_sqrt,
     single_mode_kernel,
 )
+from .grids import axis_groups
 from .states import StateVector
-from .wigner import PhasePoint
+from .wigner import PhasePoint, _as_real
 
 __all__ = [
     "SymmetryRecord",
@@ -60,7 +76,19 @@ def _kernel_columns(alpha: complex, block: int) -> np.ndarray:
     """First ``block`` columns of Delta(alpha), rows extended far enough that
     the neglected tail is below ~1e-10."""
     n_eval = adequate_n_max(4.0 * abs(alpha) ** 2, block - 1)
-    return single_mode_kernel(alpha, n_eval)[:, :block]
+    return single_mode_kernel(alpha, n_eval, block)
+
+
+def _kernel_factors(value: complex, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, g) for one mode: Delta(value) and Delta(value)^2 on levels < block."""
+    c = _kernel_columns(value, block)
+    return c[:block], c.conj().T @ c
+
+
+def _mode_factors(values, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks k[i], g[i] of _kernel_factors(values[i], block), in fresh arrays."""
+    k, g = zip(*(_kernel_factors(v, block) for v in values))
+    return np.array(k), np.array(g)
 
 
 def pure_point_values(psi: StateVector, point: PhasePoint) -> tuple[float, float]:
@@ -77,108 +105,116 @@ def pure_point_values(psi: StateVector, point: PhasePoint) -> tuple[float, float
     c1 = _kernel_columns(point.alpha, c.dim1)
     c2 = _kernel_columns(point.beta, c.dim2)
     dpsi = c1 @ psi4 @ c2.T  # (N1, N2) image of Delta |psi>
-    w = complex(np.vdot(psi4, dpsi[: c.dim1, : c.dim2]))
-    if abs(w.imag) > 1e-10:
-        raise ArithmeticError(f"kernel mean has imaginary residue {w.imag:.3e}")
+    w = _as_real(np.vdot(psi4, dpsi[: c.dim1, : c.dim2]), "kernel mean")
     norm_sq = float(np.real(np.vdot(dpsi, dpsi)))
-    return w.real, norm_sq - w.real**2
+    return w, norm_sq - w**2
 
 
 class SkewEvaluator:
-    """Skew-information engine for one state, reused across phase points.
+    """Skew-information engine for one state over any set of phase points.
 
-    The eigendecomposition of rho (hence sqrt(rho)) is computed once on the
-    state's support block; each point then costs two kernel-column builds and
-    two small matrix products.  Skew values in [-1e-9, 0) are clamped to zero
-    and counted; anything more negative raises (the truncation was inadequate).
+    Works on the state's support block, whose square root is taken when the
+    skew is first asked for (hermitian_sqrt; it raises for an unphysical
+    state).  Skew values in [-1e-9, 0) are clamped to zero and counted in
+    ``clamped_points``; anything more negative raises (the truncation was
+    inadequate).  See the module docstring for the factorisation.
     """
 
     def __init__(self, rho: DensityMatrix):
         d1, d2 = rho.mode_support()
-        block4 = rho.as_modes()[:d1, :d2, :d1, :d2]
         self.d1, self.d2 = d1, d2
-        self.block = np.ascontiguousarray(block4.reshape(d1 * d2, d1 * d2))
-        lam, vec = np.linalg.eigh(self.block)
-        if lam.min() < SQRT_EIG_ABORT:
-            raise ValueError(
-                f"state has eigenvalue {lam.min():.3e} < {SQRT_EIG_ABORT}; "
-                "not a physical state"
-            )
-        lam = np.where(lam < 1e-14, 0.0, lam)
-        self.sqrt_block = (vec * np.sqrt(lam)) @ vec.conj().T
+        self.block = np.ascontiguousarray(
+            rho.as_modes()[:d1, :d2, :d1, :d2].reshape(d1 * d2, d1 * d2))
+        # rows (b, y), columns (x, a): a product with f.ravel() sums rho[a,b,x,y] f[x,a]
+        self._rho_pairs = self.block.reshape(d1, d2, d1, d2).transpose(1, 3, 2, 0).reshape(
+            d2 * d2, d1 * d1)
         self.clamped_points = 0
-        # grid sweeps revisit the same axis values; cache kernel columns
-        self._columns_cache: dict[tuple[int, complex], np.ndarray] = {}
 
-    def _columns(self, mode: int, value: complex) -> np.ndarray:
-        key = (mode, complex(value))
-        cols = self._columns_cache.get(key)
-        if cols is None:
-            cols = _kernel_columns(value, self.d1 if mode == 1 else self.d2)
-            if len(self._columns_cache) > 4096:
-                self._columns_cache.clear()
-            self._columns_cache[key] = cols
-        return cols
+    @cached_property
+    def _sqrt_rows(self) -> np.ndarray:
+        """sqrt(rho) as S[a,b,x,d] with rows (a, b, d) and column x."""
+        d1, d2 = self.d1, self.d2
+        root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), self.block)).entries
+        return root.reshape(d1, d2, d1, d2).transpose(0, 1, 3, 2).reshape(d1 * d2 * d2, d1)
 
-    def values(self, point: PhasePoint) -> tuple[float, float, float]:
-        """(W, variance, skew) at one phase point."""
-        c1 = self._columns(1, point.alpha)
-        c2 = self._columns(2, point.beta)
-        k1, g1 = c1[: self.d1, :], c1.conj().T @ c1
-        k2, g2 = c2[: self.d2, :], c2.conj().T @ c2
-        block4 = self.block.reshape(self.d1, self.d2, self.d1, self.d2)
-        w = np.einsum("abxy,xa,yb->", block4, k1, k2, optimize=True)
-        if abs(w.imag) > 1e-10:
-            raise ArithmeticError(f"kernel mean has imaginary residue {w.imag:.3e}")
-        w = w.real
+    def _by_alpha(self, alphas, betas):
+        """Per distinct alpha: that value, the indices of its points, and the
+        (k2, g2) stacks of those points' betas (each distinct beta built once)."""
+        b_vals, b_idx = np.unique(betas, return_inverse=True)
+        k2, g2 = _mode_factors(b_vals, self.d2)
+        for a, at in zip(*axis_groups(alphas)):
+            yield a, at, k2[b_idx[at]], g2[b_idx[at]]
+
+    def _contract(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+        """sum rho[a,b,x,y] f1[x,a] f2[p][y,b] for every stacked f2[p]."""
+        m = (self._rho_pairs @ f1.ravel()).reshape(self.d2, self.d2)
+        return np.einsum("pyb,by->p", f2, m)
+
+    def _square_trace(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+        """Tr[(sqrt(rho) Delta)^2] for every stacked k2[p] at one alpha."""
+        d1, d2 = self.d1, self.d2
+        a = (self._sqrt_rows @ k1).reshape(d1, d2, d2, d1)  # A[a,b,d,c]
+        p = a.transpose(1, 2, 0, 3).reshape(d2 * d2, d1 * d1) @ a.transpose(3, 0, 1, 2).reshape(
+            d1 * d1, d2 * d2)
+        return np.einsum("bdfe,pdf,peb->p", p.reshape(d2, d2, d2, d2), k2, k2).real
+
+    def kernel_means(self, alphas, betas) -> np.ndarray:
+        """W = Tr[rho Delta] at the points (alphas[i], betas[i])."""
+        alphas, betas = np.ravel(alphas), np.ravel(betas)
+        w = np.empty(alphas.size, dtype=complex)
+        for a, at, k2, _ in self._by_alpha(alphas, betas):
+            w[at] = self._contract(_kernel_factors(a, self.d1)[0], k2)
+        return _as_real(w, "kernel mean")
+
+    def grid(self, alphas, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W, variance, skew) arrays at the points (alphas[i], betas[i]): one
+        values() call per distinct alpha."""
+        alphas, betas = np.ravel(alphas), np.ravel(betas)
+        out = np.empty((3, alphas.size))
+        for a, at, k2, g2 in self._by_alpha(alphas, betas):
+            out[:, at] = self.values(PhasePoint(a, betas[at]), (k2, g2))
+        return out[0], out[1], out[2]
+
+    def values(self, point: PhasePoint, mode2: tuple[np.ndarray, np.ndarray] | None = None):
+        """(W, variance, skew) at one phase point, as floats; as arrays for a
+        batch that shares one alpha (point.beta a 1-d array).  ``mode2`` =
+        (k2, g2) passes in the stacked mode-2 factors of point.beta, which
+        grid() builds once per distinct beta."""
+        single = np.ndim(point.beta) == 0
+        k2, g2 = mode2 if mode2 is not None else _mode_factors(np.ravel(point.beta), self.d2)
+        k1, g1 = _kernel_factors(point.alpha, self.d1)
+        w = _as_real(self._contract(k1, k2), "kernel mean")
         # Tr[rho Delta^2]: the block of Delta^2 is the column Gram matrix
-        t1 = np.real(np.einsum("abxy,xa,yb->", block4, g1, g2, optimize=True))
-        delta_block = np.kron(k1, k2)
-        sd = self.sqrt_block @ delta_block
-        t2 = float(np.real(np.vdot(sd.conj().T, sd)))  # Tr[(sqrt(rho) Delta)^2]
-        skew = t1 - t2
-        if skew < SKEW_CLAMP:
+        t1 = self._contract(g1, g2).real
+        skew = t1 - self._square_trace(k1, k2)
+        if skew.min() < SKEW_CLAMP:
             raise ArithmeticError(
-                f"skew information {skew:.3e} below clamp threshold; increase "
+                f"skew information {skew.min():.3e} below clamp threshold; increase "
                 "the truncation"
             )
-        if skew < 0.0:
-            self.clamped_points += 1
-            skew = 0.0
-        return w, t1 - w * w, skew
+        negative = skew < 0.0
+        self.clamped_points += int(negative.sum())
+        skew[negative] = 0.0
+        var = t1 - w * w
+        if single:
+            return float(w[0]), float(var[0]), float(skew[0])
+        return w, var, skew
 
 
 def parity_variance(rho: DensityMatrix, point: PhasePoint) -> float:
     """Var(rho, Delta) = Tr[rho Delta^2] - W^2.
 
     Equals 1 - W^2 up to the truncation tail, since Delta^2 = 1 on the
-    untruncated space.
+    untruncated space.  Computed by SkewEvaluator.values, so it raises where
+    that does: for an unphysical state or a skew below the clamp threshold.
     """
-    d1, d2 = rho.mode_support()
-    block4 = rho.as_modes()[:d1, :d2, :d1, :d2]
-    c1 = _kernel_columns(point.alpha, d1)
-    c2 = _kernel_columns(point.beta, d2)
-    k1, g1 = c1[:d1, :], c1.conj().T @ c1
-    k2, g2 = c2[:d2, :], c2.conj().T @ c2
-    w = np.einsum("abxy,xa,yb->", block4, k1, k2, optimize=True)
-    t1 = np.real(np.einsum("abxy,xa,yb->", block4, g1, g2, optimize=True))
-    return float(t1 - w.real**2)
+    return SkewEvaluator(rho).values(point)[1]
 
 
 def skew_information(rho: DensityMatrix, point: PhasePoint) -> float:
     """One-shot commutator-definition skew information; for repeated points on
     the same state use SkewEvaluator directly."""
     return SkewEvaluator(rho).values(point)[2]
-
-
-def _pure_vector(rho: DensityMatrix) -> StateVector:
-    purity = rho.purity()
-    if abs(purity - 1.0) > PURITY_TOL:
-        raise ValueError(
-            f"pure_hint set but purity is {purity}; state is not pure"
-        )
-    lam, vec = np.linalg.eigh(rho.entries)
-    return StateVector(rho.cutoff, np.ascontiguousarray(vec[:, -1]))
 
 
 def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False,
@@ -190,30 +226,26 @@ def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False,
     1e-7); an audit failure aborts, since it means the state was not actually
     pure or the truncation is inadequate.
     """
-    coords = grid.coordinates()
-    records: list[SymmetryRecord] = []
-    if pure_hint:
-        psi = _pure_vector(rho)
-        for q1, p1, q2, p2 in coords:
-            pt = PhasePoint.from_quadratures(q1, p1, q2, p2)
-            w, _ = pure_point_values(psi, pt)
-            records.append(SymmetryRecord(pt, w, w * w, 1.0 - w * w, 1.0))
-        rng = np.random.default_rng(seed)
-        audit_idx = rng.choice(len(records), size=min(AUDIT_POINTS, len(records)),
-                               replace=False)
-        engine = SkewEvaluator(rho)
-        for i in audit_idx:
-            rec = records[i]
-            _, _, skew = engine.values(rec.point)
-            if abs(skew - rec.skew) > AUDIT_TOL:
-                raise RuntimeError(
-                    f"pure-path audit failed at {rec.point}: fast skew "
-                    f"{rec.skew} vs commutator {skew}"
-                )
-        return records
+    alphas, betas = grid.amplitudes()
     engine = SkewEvaluator(rho)
-    for q1, p1, q2, p2 in coords:
-        pt = PhasePoint.from_quadratures(q1, p1, q2, p2)
-        w, _, skew = engine.values(pt)
-        records.append(SymmetryRecord(pt, w, w * w, skew, skew + w * w))
-    return records
+    if pure_hint:
+        purity = rho.purity()
+        if abs(purity - 1.0) > PURITY_TOL:
+            raise ValueError(f"pure_hint set but purity is {purity}; state is not pure")
+        w = engine.kernel_means(alphas, betas)
+        skew, budget = 1.0 - w * w, np.ones_like(w)
+        rng = np.random.default_rng(seed)
+        audit = rng.choice(len(w), size=min(AUDIT_POINTS, len(w)), replace=False)
+        _, _, reference = engine.grid(alphas[audit], betas[audit])
+        for i, ref in zip(audit, reference):
+            if abs(ref - skew[i]) > AUDIT_TOL:
+                raise RuntimeError(
+                    f"pure-path audit failed at {PhasePoint(alphas[i], betas[i])}: "
+                    f"fast skew {skew[i]} vs commutator {ref}"
+                )
+    else:
+        w, _, skew = engine.grid(alphas, betas)
+        budget = skew + w * w
+    return [SymmetryRecord(PhasePoint(a, b), wi, wi * wi, si, bi)
+            for a, b, wi, si, bi in zip(alphas.tolist(), betas.tolist(), w.tolist(),
+                                        skew.tolist(), budget.tolist())]

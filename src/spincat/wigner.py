@@ -36,6 +36,7 @@ from .fockspace import (
     smoothed_kernel_element,
     warn_if_truncated,
 )
+from .grids import axis_groups
 from .states import CatParams, cat_shell_amplitudes, spin_coherent_amplitudes
 
 __all__ = [
@@ -58,13 +59,15 @@ SYMMETRY_VIOLATION_THRESHOLD = 0.01  # W^2 below this counts as parity violation
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (alpha, beta) of two-mode phase space; q = sqrt(2) Re, p = sqrt(2) Im."""
+    """A point (alpha, beta) of two-mode phase space; q = sqrt(2) Re, p = sqrt(2) Im.
+    Array-valued alpha and beta make a batch of points for the batched
+    evaluators (channel_wigner_convolution, SkewEvaluator.values)."""
 
     alpha: complex
     beta: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.beta))):
             raise ValueError(f"phase point must be finite, got ({self.alpha}, {self.beta})")
 
     @classmethod
@@ -102,10 +105,14 @@ class WignerConvention(enum.Enum):
         return 1.0 if self is WignerConvention.KERNEL_MEAN else 1.0 / np.pi**2
 
 
-def _as_real(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+def _as_real(value, what: str):
+    """Real part of a complex scalar (as float) or array, once its imaginary
+    residue is checked against IMAG_RESIDUE_TOL."""
+    value = np.asarray(value)
+    residue = np.abs(value.imag).max(initial=0.0)
+    if residue > IMAG_RESIDUE_TOL:
+        raise ArithmeticError(f"{what} has imaginary residue {residue:.3e}")
+    return value.real if value.ndim else float(value.real)
 
 
 def _require_interior_theta(params: CatParams) -> None:
@@ -122,23 +129,28 @@ def _require_interior_theta(params: CatParams) -> None:
 # exact closed forms (kernel mean)
 # ---------------------------------------------------------------------------
 
-def _closed_kernel_mean(params: CatParams, alpha: complex, beta: complex,
-                        noise: float = 0.0) -> complex:
-    """Sum over the 2j shell of amplitude pairs times kernel matrix elements.
-
-    With noise > 0 the mode-1 element is the Gaussian-smoothed one, which is
-    exactly the kernel mean after a random-displacement channel of strength
-    ``noise`` on mode 1.
+def _closed_kernel_mean(params: CatParams, alpha, beta, noise: float = 0.0) -> np.ndarray:
+    """Kernel mean W = sum_{n,m} c*_n c_m K1[n, m] K2[2j - n, 2j - m] over the
+    2j shell, at the points (alpha[i], beta[i]) (they broadcast; 0-d for one
+    point).  The blocks K1 at alpha and K2 at beta (smoothed_kernel_element)
+    are built once per distinct value.  With noise > 0 the mode-1 element is
+    the Gaussian-smoothed one, which is exactly the kernel mean after a
+    random-displacement channel of strength ``noise`` on mode 1.
     """
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=complex),
+                                      np.asarray(beta, dtype=complex))
     twoj = params.twoj
     c = cat_shell_amplitudes(params)
-    k1 = np.empty((twoj + 1, twoj + 1), dtype=complex)
-    k2 = np.empty((twoj + 1, twoj + 1), dtype=complex)
-    for row in range(twoj + 1):
-        for col in range(twoj + 1):
-            k1[row, col] = smoothed_kernel_element(row, col, alpha, noise)
-            k2[row, col] = smoothed_kernel_element(twoj - row, twoj - col, beta, 0.0)
-    return np.einsum("n,m,nm,nm->", c.conj(), c, k1, k2)
+    weights = np.outer(c.conj(), c)
+    shell = range(twoj + 1)
+    b_vals, b_idx = np.unique(beta.ravel(), return_inverse=True)
+    k2 = np.array([[smoothed_kernel_element(twoj - n, twoj - m, b, 0.0)
+                    for n in shell for m in shell] for b in b_vals])
+    out = np.empty(alpha.size, dtype=complex)
+    for a, at in zip(*axis_groups(alpha)):
+        k1 = np.array([smoothed_kernel_element(n, m, a, noise) for n in shell for m in shell])
+        out[at] = k2[b_idx[at]] @ (weights.ravel() * k1)
+    return out.reshape(alpha.shape)
 
 
 def wigner_closed_half(params: CatParams, point: PhasePoint,

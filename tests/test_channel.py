@@ -188,6 +188,23 @@ class TestWignerRoutes:
             quad = channel_wigner_quadrature(params, ch, pt, form="gaussian")
             assert ana == pytest.approx(quad, abs=1e-6)
 
+    @pytest.mark.parametrize("form", ["closed", "gaussian"])
+    def test_batch_of_points_matches_point_by_point(self, form):
+        rng = np.random.default_rng(5)
+        ch = ChannelParams(0.7)
+        for j in (0.5, 1.0, 2.5):
+            params = CatParams(j, *rng.uniform(0.05, np.pi - 0.05, 2),
+                               *rng.uniform(0, 2 * np.pi, 2))
+            alphas = rng.normal(size=6) + 1j * rng.normal(size=6)
+            betas = rng.normal(size=6) + 1j * rng.normal(size=6)
+            alphas[3], betas[4] = alphas[1], betas[0]  # repeated axis values
+            batch = channel_wigner_convolution(params, ch, PhasePoint(alphas, betas), form=form)
+            assert batch.shape == (6,)
+            for i, (a, b) in enumerate(zip(alphas, betas)):
+                assert batch[i] == pytest.approx(
+                    channel_wigner_convolution(params, ch, PhasePoint(a, b), form=form),
+                    rel=1e-13, abs=1e-15)
+
     def test_gaussian_form_identity_limit(self):
         ch = ChannelParams(1e-6)
         p = random_params(1.0)

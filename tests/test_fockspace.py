@@ -110,6 +110,19 @@ class TestDisplacement:
         a = displacement_matrix(0.5, FockCutoff(10, 3))
         assert a.shape == (11, 11)
 
+    @pytest.mark.parametrize("x", [0.0, 2.0, 200.0, 800.0])
+    def test_column_limited_recurrence_is_bitwise_the_leading_columns(self, x):
+        gamma = np.sqrt(x) * np.exp(0.7j)
+        full = displacement_matrix(gamma, 650)
+        for ncols in (1, 2, 41):
+            part = displacement_matrix(gamma, 650, ncols)
+            assert part.shape == (651, ncols)
+            assert np.array_equal(part, full[:, :ncols])
+
+    def test_column_limit_beyond_cutoff_gives_full_matrix(self):
+        assert np.array_equal(displacement_matrix(1.2 - 0.4j, 30, 99),
+                              displacement_matrix(1.2 - 0.4j, 30))
+
 
 class TestParity:
     def test_two_levels(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spincat.channel import ChannelParams, apply_channel_density
-from spincat.fockspace import DensityMatrix, FockCutoff
+from spincat.fockspace import DensityMatrix, FockCutoff, adequate_n_max, single_mode_kernel
 from spincat.grids import GridSpec
 from spincat.skewinfo import (
     SkewEvaluator,
@@ -123,6 +123,70 @@ class TestSkewInformationMixed:
         rho = DensityMatrix(cut, np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(ValueError):
             skew_information(rho, PhasePoint(0j, 0j))
+
+
+class TestGridEngine:
+    def test_grid_matches_literal_two_mode_products(self):
+        # reference: the Kronecker-product kernel and sqrt(rho) on the support
+        # block, one point at a time; the points repeat alpha and beta values
+        rho = apply_channel_density(density_from_vector(cat_state(HALF_CAT)),
+                                    ChannelParams(1.0))
+        d1, d2 = rho.mode_support()
+        block = rho.as_modes()[:d1, :d2, :d1, :d2].reshape(d1 * d2, d1 * d2)
+        lam, vec = np.linalg.eigh(block)
+        root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+
+        def factors(value, d):
+            c = single_mode_kernel(value, adequate_n_max(4 * abs(value) ** 2, d - 1))[:, :d]
+            return c[:d], c.conj().T @ c
+
+        alphas = np.array([0.3 + 0.1j, 0.3 + 0.1j, -0.8j, 1.1, -0.8j])
+        betas = np.array([0.2, -0.5 + 0.4j, 0.2, 0.2, 0.0])
+        engine = SkewEvaluator(rho)
+        w, var, skew = engine.grid(alphas, betas)
+        for i, (a, b) in enumerate(zip(alphas, betas)):
+            (k1, g1), (k2, g2) = factors(a, d1), factors(b, d2)
+            delta = np.kron(k1, k2)
+            sd = root @ delta
+            w_ref = np.trace(block @ delta).real
+            t1 = np.trace(block @ np.kron(g1, g2)).real
+            skew_ref = t1 - np.trace(sd @ sd).real
+            assert w[i] == pytest.approx(w_ref, abs=1e-12)
+            assert var[i] == pytest.approx(t1 - w_ref**2, abs=1e-12)
+            assert skew[i] == pytest.approx(max(skew_ref, 0.0), abs=1e-12)
+            assert engine.values(PhasePoint(a, b)) == pytest.approx((w[i], var[i], skew[i]),
+                                                                     abs=1e-15)
+
+    def test_grid_calls_values_once_per_distinct_alpha(self, monkeypatch):
+        rho = apply_channel_density(density_from_vector(cat_state(HALF_CAT)),
+                                    ChannelParams(1.0))
+        engine = SkewEvaluator(rho)
+        original = SkewEvaluator.values
+        batches = []
+
+        def recording(self, point, mode2=None):
+            batches.append(np.size(point.beta))
+            return original(self, point, mode2)
+
+        monkeypatch.setattr(SkewEvaluator, "values", recording)
+        alphas = np.array([0.3, -0.8j, 0.3, 1.1, -0.8j, 0.3])
+        betas = np.array([0.2, 0.2, -0.5j, 0.0, 0.7, 0.2])
+        w, var, skew = engine.grid(alphas, betas)
+        assert sorted(batches) == [1, 2, 3]
+        monkeypatch.undo()
+        for i, (a, b) in enumerate(zip(alphas, betas)):
+            assert engine.values(PhasePoint(a, b)) == pytest.approx((w[i], var[i], skew[i]),
+                                                                     abs=1e-15)
+
+    def test_factor_stacks_hold_no_views_of_kernel_columns(self):
+        from spincat.skewinfo import _mode_factors
+
+        values = np.array([0.0, 0.7, -1.3 + 0.2j, 3.0j])
+        k, g = _mode_factors(values, 4)
+        for stack in (k, g):
+            assert stack.base is None
+            assert stack.shape == (4, 4, 4)
+            assert stack.nbytes == 4 * 4 * 4 * 16
 
 
 class TestDuality:

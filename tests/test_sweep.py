@@ -108,13 +108,38 @@ class TestEvaluateGrid:
         with pytest.raises(ValueError):
             evaluate_grid(HALF_CAT, grid, evaluator="magic")
 
-    def test_threads_env_does_not_change_output(self, monkeypatch):
+    @pytest.mark.parametrize("evaluator,channel", [
+        ("closed", None), ("kernel", None), ("closed", ChannelParams(1.0)),
+    ], ids=["closed", "kernel", "closed-noisy"])
+    def test_repeated_runs_give_identical_csv(self, evaluator, channel):
         grid = GridSpec(axes=(("q1", -2.0, 2.0, 21), ("q2", -2.0, 2.0, 21)))
-        monkeypatch.setenv("SPINCAT_THREADS", "1")
-        a = evaluate_grid(HALF_CAT, grid)
-        monkeypatch.setenv("SPINCAT_THREADS", "4")
-        b = evaluate_grid(HALF_CAT, grid)
-        assert np.array_equal(a.records, b.records)
+        outputs = []
+        for _ in range(2):
+            buf = io.StringIO()
+            serialize_csv(evaluate_grid(HALF_CAT, grid, evaluator=evaluator, channel=channel),
+                          buf)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
+
+    def test_displacement_built_once_per_node_and_axis_value(self, monkeypatch):
+        # a noisy 21x21 sweep needs one displacement matrix per superoperator
+        # node (24^2) and one per distinct alpha and beta (21 + 21), no more
+        import spincat.channel
+        import spincat.fockspace
+
+        original = spincat.fockspace.displacement_matrix
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spincat.fockspace, "displacement_matrix", counting)
+        monkeypatch.setattr(spincat.channel, "displacement_matrix", counting)
+        monkeypatch.setattr(spincat.channel, "_SUPEROP_CACHE", {})
+        grid = GridSpec(axes=(("q1", -2.0, 2.0, 21), ("q2", -2.0, 2.0, 21)))
+        evaluate_grid(HALF_CAT, grid, channel=ChannelParams(1.0))
+        assert len(calls) == 24 * 24 + 21 + 21
 
 
 class TestSerialization:
