@@ -17,6 +17,11 @@ each diagonal of the matrix (the associated-Laguerre recurrence rewritten on
 the scale of the matrix entries themselves, which are bounded by 1).  This
 stays accurate for |gamma|^2 well beyond 200, where naive factorial-ratio
 evaluation overflows and matrix exponentials become untrustworthy.
+
+The recurrence is batched over an amplitude axis: displacement_matrix takes a
+1-d array of amplitudes and runs one loop for the whole stack, in chunks of
+amplitudes whose working arrays fit CHUNK_BYTES, with entries bit-identical
+to single-amplitude calls.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10
 SQRT_EIG_ABORT = -1e-8
+# working-set budget of one chunk of a batched displacement recurrence
+CHUNK_BYTES = 1 << 19
 
 
 class TruncationWarning(UserWarning):
@@ -124,7 +131,36 @@ def _as_n_max(cutoff) -> int:
     return int(cutoff)
 
 
-def displacement_matrix(alpha: complex, cutoff, ncols: int | None = None) -> np.ndarray:
+def _recurrence_tables(d: int, ncols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables shared by every amplitude and diagonal of one recurrence run:
+    lgamma(a + 1) for a < d, and for steps k < ncols the rows 2k + 1 + a and
+    sqrt(k (k + a)) (so sqrt((k + 1)(k + 1 + a)) is the next row)."""
+    offsets = np.arange(d, dtype=float)
+    steps = np.arange(ncols)[:, None]
+    lg = np.array([lgamma(k + 1.0) for k in range(d)])
+    return lg, 2 * steps + 1 + offsets, np.sqrt(steps * (steps + offsets))
+
+
+def _diagonals(gammas: list[complex], x: np.ndarray, n_offsets: int, ncols: int,
+               tables) -> np.ndarray:
+    """E[k, i, a] = <k+a|D(gammas[i])|k> for diagonal offsets a < n_offsets and
+    columns k < ncols; x[i] = |gammas[i]|^2, gammas nonzero."""
+    lg, linear, root = (t[..., :n_offsets] for t in tables)
+    offsets = np.arange(n_offsets, dtype=float)
+    log_abs = np.array([[np.log(abs(g))] for g in gammas])
+    angle = np.array([[np.angle(g)] for g in gammas])
+    x = x[:, None]
+    E = np.empty((ncols, len(gammas), n_offsets), dtype=complex)
+    log_first = -x / 2 + offsets * log_abs - 0.5 * lg
+    E[0] = np.exp(log_first) * np.exp(1j * offsets * angle)
+    if ncols > 1:
+        E[1] = (linear[0] - x) * E[0] / root[1]
+    for k in range(1, ncols - 1):
+        E[k + 1] = ((linear[k] - x) * E[k] - root[k] * E[k - 1]) / root[k + 1]
+    return E
+
+
+def displacement_matrix(alpha, cutoff, ncols: int | None = None) -> np.ndarray:
     """Single-mode displacement matrix <p|D(alpha)|q> for p <= n_max, q < ncols.
 
     ``cutoff`` is an int n_max or a FockCutoff (mode-1 cutoff is used);
@@ -134,42 +170,42 @@ def displacement_matrix(alpha: complex, cutoff, ncols: int | None = None) -> np.
     displaced state fits under the cutoff.  The recurrence stops at the
     requested columns, and the result equals the leading columns of the full
     matrix bit for bit.
+
+    ``alpha`` may also be a 1-d array of n amplitudes; the result is then the
+    stack (n, n_max + 1, ncols), and each entry equals the single-amplitude
+    call bit for bit.  One recurrence loop serves the whole stack, in chunks
+    of amplitudes whose working arrays stay within CHUNK_BYTES; zero
+    amplitudes get identity columns.
     """
-    if not np.isfinite(alpha):
+    gammas = np.asarray(alpha, dtype=complex)
+    if not np.isfinite(gammas).all():
         raise ValueError(f"displacement amplitude must be finite, got {alpha}")
     n_max = _as_n_max(cutoff)
     d = n_max + 1
     ncols = d if ncols is None else min(int(ncols), d)
-    gamma = complex(alpha)
-    if gamma == 0:
-        return np.eye(d, ncols, dtype=complex)
-
-    x = abs(gamma) ** 2
-    lg = np.array([lgamma(k + 1.0) for k in range(d)])
-
-    def diagonals(g: complex, n_offsets: int) -> np.ndarray:
-        # E[a, k] = <k+a|D(g)|k> for diagonal offsets a < n_offsets, k < ncols.
-        offsets = np.arange(n_offsets, dtype=float)
-        E = np.zeros((n_offsets, ncols), dtype=complex)
-        log_first = -x / 2 + offsets * np.log(abs(g)) - 0.5 * lg[:n_offsets]
-        E[:, 0] = np.exp(log_first) * np.exp(1j * offsets * np.angle(g))
-        if ncols > 1:
-            E[:, 1] = (1 + offsets - x) * E[:, 0] / np.sqrt(1 + offsets)
-        for k in range(1, ncols - 1):
-            E[:, k + 1] = (
-                (2 * k + 1 + offsets - x) * E[:, k]
-                - np.sqrt(k * (k + offsets)) * E[:, k - 1]
-            ) / np.sqrt((k + 1) * (k + 1 + offsets))
-        return E
-
-    lower = diagonals(gamma, d)
-    upper = diagonals(-gamma, ncols)  # <p|D(gamma)|q> = conj(<q|D(-gamma)|p>) for q > p
-    p, q = np.indices((d, ncols))
-    below = p >= q
-    D = np.empty((d, ncols), dtype=complex)
-    D[below] = lower[(p - q)[below], q[below]]
-    D[~below] = np.conj(upper[(q - p)[~below], p[~below]])
-    return D
+    if ncols < 1:
+        raise ValueError(f"ncols must be >= 1, got {ncols}")
+    flat = gammas.ravel()
+    D = np.empty((flat.size, d, ncols), dtype=complex)
+    tables = _recurrence_tables(d, ncols)
+    per_chunk = max(1, CHUNK_BYTES // (16 * d * ncols))
+    for lo in range(0, flat.size, per_chunk):
+        # |gamma|, |gamma|^2 and log|gamma| by scalar operations: numpy's
+        # vectorised complex abs can differ from them in the last bit.  Zero
+        # amplitudes run as 1 and get their identity columns afterwards.
+        chunk = [complex(g) if g != 0 else 1.0 for g in flat[lo:lo + per_chunk]]
+        x = np.array([abs(g) ** 2 for g in chunk])
+        lower = _diagonals(chunk, x, d, ncols, tables)
+        # <p|D(gamma)|q> = conj(<q|D(-gamma)|p>) for q > p
+        upper = _diagonals([-g for g in chunk], x, ncols, ncols, tables)
+        out = D[lo:lo + per_chunk]
+        for q in range(ncols):
+            out[:, q:, q] = lower[q, :, :d - q]
+            above = np.arange(q)
+            out[:, :q, q] = np.conj(upper[above, :, q - above]).T
+        del lower, upper  # the next chunk's diagonals never coexist with these
+    D[flat == 0] = np.eye(d, ncols)
+    return D if gammas.ndim else D[0]
 
 
 def parity_matrix(cutoff) -> np.ndarray:
@@ -178,16 +214,18 @@ def parity_matrix(cutoff) -> np.ndarray:
     return np.diag((-1.0) ** np.arange(n_max + 1))
 
 
-def single_mode_kernel(alpha: complex, cutoff, ncols: int | None = None) -> np.ndarray:
+def single_mode_kernel(alpha, cutoff, ncols: int | None = None) -> np.ndarray:
     """Displaced parity kernel Delta(alpha) = D(2 alpha) Pi for one mode, its
-    first ``ncols`` columns (all by default).
+    first ``ncols`` columns (all by default); a stack for a 1-d array of
+    amplitudes, as displacement_matrix.
 
     Built as a column sign flip of the displacement matrix, so every entry is
     the exact operator matrix element (no truncated intermediate sums) and the
     full square result is Hermitian to rounding.
     """
-    D = displacement_matrix(2 * alpha, _as_n_max(cutoff), ncols)
-    return D * (-1.0) ** np.arange(D.shape[1])
+    D = displacement_matrix(2 * np.asarray(alpha), _as_n_max(cutoff), ncols)
+    D *= (-1.0) ** np.arange(D.shape[-1])
+    return D
 
 
 def smoothed_kernel_element(p: int, q: int, alpha: complex, noise: float = 0.0) -> complex:

@@ -25,7 +25,10 @@ columns c (the same block of Delta^2).  With rho[a,b,x,y], S = sqrt(rho):
         P[b,d,f,e]  = sum_{a,c} A[a,b,d,c] A[c,f,e,a],  A[a,b,d,c] = sum_x S[a,b,x,d] k1[x,c].
 
 The rho and P contractions run once per distinct alpha, in one
-SkewEvaluator.values call for all of that alpha's points.
+SkewEvaluator.values call for all of that alpha's points.  The factors come
+from batched displacement recurrences: the distinct values are sorted by the
+rows their kernel columns need and built in chunks that fit
+fockspace.CHUNK_BYTES, so the alpha factors are never all held at once.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .fockspace import (
+    CHUNK_BYTES,
     DensityMatrix,
     FockCutoff,
     adequate_n_max,
@@ -72,23 +76,53 @@ class SymmetryRecord:
     budget: float  # skew + w_squared; <= 1 always, = 1 for pure states
 
 
+def _kernel_rows(alpha: complex, block: int) -> int:
+    """Rows of Delta(alpha)'s first ``block`` columns that keep the neglected
+    tail below ~1e-10."""
+    return adequate_n_max(4.0 * abs(alpha) ** 2, block - 1) + 1
+
+
 def _kernel_columns(alpha: complex, block: int) -> np.ndarray:
     """First ``block`` columns of Delta(alpha), rows extended far enough that
     the neglected tail is below ~1e-10."""
-    n_eval = adequate_n_max(4.0 * abs(alpha) ** 2, block - 1)
-    return single_mode_kernel(alpha, n_eval, block)
+    return single_mode_kernel(alpha, _kernel_rows(alpha, block) - 1, block)
 
 
-def _kernel_factors(value: complex, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k, g) for one mode: Delta(value) and Delta(value)^2 on levels < block."""
-    c = _kernel_columns(value, block)
-    return c[:block], c.conj().T @ c
+def _factor_chunks(values, block: int):
+    """(k, g) for one mode, Delta(v) and Delta(v)^2 on levels < block, for
+    every v in ``values``: yields (indices, k stack, g stack) per chunk.
+
+    Values are sorted by the rows their columns need and built in chunks whose
+    column stack fits CHUNK_BYTES, one batched single_mode_kernel call each;
+    every value's Gram matrix uses its own rows, so the factors equal
+    one-value builds bit for bit.
+    """
+    rows = np.array([_kernel_rows(v, block) for v in values], dtype=int)
+    order = np.argsort(rows, kind="stable")
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1
+        while hi < len(order) and (hi + 1 - lo) * rows[order[hi]] * block * 16 <= CHUNK_BYTES:
+            hi += 1
+        idx = order[lo:hi]
+        yield (idx, *_chunk_factors(values[idx], rows[idx], block))
+        lo = hi
+
+
+def _chunk_factors(values, rows, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, g) stacks of one chunk; its column stack is freed on return."""
+    cols = single_mode_kernel(values, rows[-1] - 1, block)
+    g = np.array([c[:r].conj().T @ c[:r] for c, r in zip(cols, rows)])
+    return cols[:, :block].copy(), g
 
 
 def _mode_factors(values, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks k[i], g[i] of _kernel_factors(values[i], block), in fresh arrays."""
-    k, g = zip(*(_kernel_factors(v, block) for v in values))
-    return np.array(k), np.array(g)
+    """Stacks k[i], g[i] of the factors of values[i], in fresh arrays."""
+    k = np.empty((len(values), block, block), dtype=complex)
+    g = np.empty_like(k)
+    for idx, k_chunk, g_chunk in _factor_chunks(values, block):
+        k[idx], g[idx] = k_chunk, g_chunk
+    return k, g
 
 
 def pure_point_values(psi: StateVector, point: PhasePoint) -> tuple[float, float]:
@@ -138,12 +172,17 @@ class SkewEvaluator:
         return root.reshape(d1, d2, d1, d2).transpose(0, 1, 3, 2).reshape(d1 * d2 * d2, d1)
 
     def _by_alpha(self, alphas, betas):
-        """Per distinct alpha: that value, the indices of its points, and the
-        (k2, g2) stacks of those points' betas (each distinct beta built once)."""
+        """Per distinct alpha: that value, the indices of its points, its
+        (k1, g1) factors and the (k2, g2) stacks of those points' betas.  Each
+        distinct beta is built once; the alphas are built chunk by chunk, so
+        no stack of all alpha factors is held."""
         b_vals, b_idx = np.unique(betas, return_inverse=True)
         k2, g2 = _mode_factors(b_vals, self.d2)
-        for a, at in zip(*axis_groups(alphas)):
-            yield a, at, k2[b_idx[at]], g2[b_idx[at]]
+        a_vals, groups = axis_groups(alphas)
+        for idx, k1, g1 in _factor_chunks(a_vals, self.d1):
+            for i, k, g in zip(idx, k1, g1):
+                at = groups[i]
+                yield a_vals[i], at, (k, g), (k2[b_idx[at]], g2[b_idx[at]])
 
     def _contract(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
         """sum rho[a,b,x,y] f1[x,a] f2[p][y,b] for every stacked f2[p]."""
@@ -162,8 +201,8 @@ class SkewEvaluator:
         """W = Tr[rho Delta] at the points (alphas[i], betas[i])."""
         alphas, betas = np.ravel(alphas), np.ravel(betas)
         w = np.empty(alphas.size, dtype=complex)
-        for a, at, k2, _ in self._by_alpha(alphas, betas):
-            w[at] = self._contract(_kernel_factors(a, self.d1)[0], k2)
+        for _, at, (k1, _), (k2, _) in self._by_alpha(alphas, betas):
+            w[at] = self._contract(k1, k2)
         return _as_real(w, "kernel mean")
 
     def grid(self, alphas, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,18 +210,23 @@ class SkewEvaluator:
         values() call per distinct alpha."""
         alphas, betas = np.ravel(alphas), np.ravel(betas)
         out = np.empty((3, alphas.size))
-        for a, at, k2, g2 in self._by_alpha(alphas, betas):
-            out[:, at] = self.values(PhasePoint(a, betas[at]), (k2, g2))
+        for a, at, mode1, mode2 in self._by_alpha(alphas, betas):
+            out[:, at] = self.values(PhasePoint(a, betas[at]), mode2, mode1)
         return out[0], out[1], out[2]
 
-    def values(self, point: PhasePoint, mode2: tuple[np.ndarray, np.ndarray] | None = None):
+    def values(self, point: PhasePoint, mode2: tuple[np.ndarray, np.ndarray] | None = None,
+               mode1: tuple[np.ndarray, np.ndarray] | None = None):
         """(W, variance, skew) at one phase point, as floats; as arrays for a
         batch that shares one alpha (point.beta a 1-d array).  ``mode2`` =
-        (k2, g2) passes in the stacked mode-2 factors of point.beta, which
-        grid() builds once per distinct beta."""
+        (k2, g2) passes in the stacked mode-2 factors of point.beta and
+        ``mode1`` = (k1, g1) the factors of point.alpha, which grid() builds
+        in chunks, once per distinct value."""
         single = np.ndim(point.beta) == 0
         k2, g2 = mode2 if mode2 is not None else _mode_factors(np.ravel(point.beta), self.d2)
-        k1, g1 = _kernel_factors(point.alpha, self.d1)
+        if mode1 is None:
+            (k1,), (g1,) = _mode_factors(np.ravel(point.alpha), self.d1)
+        else:
+            k1, g1 = mode1
         w = _as_real(self._contract(k1, k2), "kernel mean")
         # Tr[rho Delta^2]: the block of Delta^2 is the column Gram matrix
         t1 = self._contract(g1, g2).real

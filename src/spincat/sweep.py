@@ -16,11 +16,15 @@ The grid is evaluated in batches, not point by point: the closed form
 (wigner._closed_kernel_mean; behind the channel, channel_wigner_convolution
 on the whole batch) and the skew engine (skewinfo.SkewEvaluator.grid) build
 their single-mode factors once per distinct alpha and per distinct beta, then
-evaluate all points of one alpha together.  Only the noiseless "gaussian"
-surrogate is still evaluated point by point.
+evaluate all points of one alpha together.  Their kernel columns come from
+batched displacement recurrences over the amplitude axis, in chunks bounded
+by fockspace.CHUNK_BYTES; the channel's Kraus nodes are one batch.  Only the
+noiseless "gaussian" surrogate is still evaluated point by point.
 
-CSV output is bit-deterministic: a single '# meta: {json}' comment line with
-sorted keys, a fixed header, and numbers rendered with 17 significant digits.
+CSV output is bit-deterministic on one machine at one BLAS thread count (a
+different thread count can change the last bit of I): a single
+'# meta: {json}' comment line with sorted keys, a fixed header, and numbers
+rendered with 17 significant digits.
 """
 
 from __future__ import annotations

@@ -36,6 +36,9 @@ class TestChannelParams:
             ChannelParams(0.0)
         with pytest.raises(ValueError):
             ChannelParams(-1.0)
+        for s in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                ChannelParams(s)
         with pytest.raises(ValueError):
             ChannelParams(1.0, quad_order=4)
         with pytest.raises(ValueError):

@@ -55,6 +55,11 @@ class TestPresetCommand:
         payload = json.loads(out.read_text())
         assert len(payload["records"]) == 1
 
+    @pytest.mark.parametrize("s", ["inf", "nan", "0", "-1"])
+    def test_bad_noise_strength_is_usage_error(self, capsys, s):
+        assert main(["preset", "fig3a", "--channel-s", s, "--out", "-"]) == 2
+        assert "noise strength s" in capsys.readouterr().err
+
     def test_spin_override(self, tmp_path):
         out = tmp_path / "o.csv"
         assert main(["preset", "fig2-q1", "--j", "5/2", "--out", str(out)]) == 0

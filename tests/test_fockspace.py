@@ -124,6 +124,58 @@ class TestDisplacement:
                               displacement_matrix(1.2 - 0.4j, 30))
 
 
+class TestDisplacementStack:
+    AMPLITUDES = np.array([np.sqrt(x) * np.exp(1j * ph) for x, ph in
+                           ((2.0, 0.7), (0.0, 0.0), (200.0, -2.1), (800.0, 3.0),
+                            (2.0, -0.4), (0.0, 0.0), (200.0, 1.3))])
+
+    @pytest.mark.parametrize("n_max", [0, 1, 40, 650])
+    @pytest.mark.parametrize("ncols", [1, 2, 41])
+    def test_stack_equals_per_amplitude_calls(self, n_max, ncols):
+        stack = displacement_matrix(self.AMPLITUDES, n_max, ncols)
+        assert stack.shape == (len(self.AMPLITUDES), n_max + 1, min(ncols, n_max + 1))
+        for gamma, matrix in zip(self.AMPLITUDES, stack):
+            assert np.array_equal(matrix, displacement_matrix(gamma, n_max, ncols))
+
+    def test_chunk_boundaries_do_not_change_entries(self, monkeypatch):
+        import spincat.fockspace
+
+        whole = displacement_matrix(self.AMPLITUDES, 120, 41)
+        # 120-row, 41-column chunks of one and of two amplitudes
+        for budget in (1, 2 * 121 * 41 * 16):
+            monkeypatch.setattr(spincat.fockspace, "CHUNK_BYTES", budget)
+            assert np.array_equal(displacement_matrix(self.AMPLITUDES, 120, 41), whole)
+
+    def test_kernel_stack_equals_per_amplitude_calls(self):
+        stack = single_mode_kernel(self.AMPLITUDES / 2, 60, 2)
+        for alpha, matrix in zip(self.AMPLITUDES / 2, stack):
+            assert np.array_equal(matrix, single_mode_kernel(alpha, 60, 2))
+
+    def test_vacuum_overlaps_use_scalar_modulus(self):
+        # <0|D(g)|0> = exp(-|g|^2 / 2) with |g| from Python's complex abs, as
+        # a single-amplitude call computes it; numpy's vectorised abs differs
+        # in the last bit on many of these nodes (the Kraus nodes at s = 1)
+        from spincat.channel import gaussian_measure_nodes
+
+        zs, _ = gaussian_measure_nodes(1.0, 24, envelope=1.0)
+        stack = displacement_matrix(zs, 39, 2)
+        expected = np.exp(np.array([-(abs(complex(z)) ** 2) / 2 for z in zs]))
+        assert np.array_equal(stack[:, 0, 0], expected)
+
+    def test_zero_amplitudes_keep_identity_columns(self):
+        stack = displacement_matrix(np.array([0.0, 1.5j, 0.0]), 9, 4)
+        assert np.array_equal(stack[0], np.eye(10, 4))
+        assert np.array_equal(stack[2], np.eye(10, 4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_rejects_nonfinite_anywhere(self, bad, where):
+        gammas = self.AMPLITUDES.copy()
+        gammas[where] = bad
+        with pytest.raises(ValueError):
+            displacement_matrix(gammas, 20, 3)
+
+
 class TestParity:
     def test_two_levels(self):
         assert np.array_equal(parity_matrix(1), np.diag([1.0, -1.0]))

@@ -164,9 +164,9 @@ class TestGridEngine:
         original = SkewEvaluator.values
         batches = []
 
-        def recording(self, point, mode2=None):
+        def recording(self, point, mode2=None, mode1=None):
             batches.append(np.size(point.beta))
-            return original(self, point, mode2)
+            return original(self, point, mode2, mode1)
 
         monkeypatch.setattr(SkewEvaluator, "values", recording)
         alphas = np.array([0.3, -0.8j, 0.3, 1.1, -0.8j, 0.3])
@@ -187,6 +187,25 @@ class TestGridEngine:
             assert stack.base is None
             assert stack.shape == (4, 4, 4)
             assert stack.nbytes == 4 * 4 * 4 * 16
+
+
+    @pytest.mark.parametrize("preset, j, limit_mb", [("fig3a", None, 4.0), ("fig5a", 1.0, 5.0)])
+    def test_grid_working_set_is_bounded(self, preset, j, limit_mb):
+        # alpha factors are built in CHUNK_BYTES chunks, never as one stack
+        import tracemalloc
+
+        from spincat.sweep import PRESETS
+
+        params, channel, grid = PRESETS[preset].build(j, None)
+        rho = apply_channel_density(density_from_vector(cat_state(params)), channel)
+        alphas, betas = grid.amplitudes()
+        tracemalloc.start()
+        try:
+            SkewEvaluator(rho).grid(alphas, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
 
 class TestDuality:

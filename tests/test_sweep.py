@@ -123,23 +123,26 @@ class TestEvaluateGrid:
 
     def test_displacement_built_once_per_node_and_axis_value(self, monkeypatch):
         # a noisy 21x21 sweep needs one displacement matrix per superoperator
-        # node (24^2) and one per distinct alpha and beta (21 + 21), no more
+        # node (24^2) and one per distinct alpha and beta (21 + 21), no more;
+        # batched calls pass many amplitudes at once, so count amplitudes
         import spincat.channel
         import spincat.fockspace
 
         original = spincat.fockspace.displacement_matrix
-        calls = []
+        built = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counting(alpha, cutoff, ncols=None):
+            result = original(alpha, cutoff, ncols)
+            built.extend((complex(g), result.shape[-1]) for g in np.ravel(alpha))
+            return result
 
         monkeypatch.setattr(spincat.fockspace, "displacement_matrix", counting)
         monkeypatch.setattr(spincat.channel, "displacement_matrix", counting)
         monkeypatch.setattr(spincat.channel, "_SUPEROP_CACHE", {})
         grid = GridSpec(axes=(("q1", -2.0, 2.0, 21), ("q2", -2.0, 2.0, 21)))
         evaluate_grid(HALF_CAT, grid, channel=ChannelParams(1.0))
-        assert len(calls) == 24 * 24 + 21 + 21
+        assert len(built) == 24 * 24 + 21 + 21
+        assert len(set(built)) == len(built)  # no (amplitude, columns) built twice
 
 
 class TestSerialization:
