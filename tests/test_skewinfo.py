@@ -188,7 +188,6 @@ class TestGridEngine:
             assert stack.shape == (4, 4, 4)
             assert stack.nbytes == 4 * 4 * 4 * 16
 
-
     @pytest.mark.parametrize("preset, j, limit_mb", [("fig3a", None, 4.0), ("fig5a", 1.0, 5.0)])
     def test_grid_working_set_is_bounded(self, preset, j, limit_mb):
         # alpha factors are built in CHUNK_BYTES chunks, never as one stack
