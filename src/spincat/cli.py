@@ -1,6 +1,7 @@
 """Command-line interface: figure presets, custom sweeps, invariant battery.
 
-Exit codes: 0 success, 1 invariant violation (verify), 2 usage errors.
+Exit codes: 0 success, 1 invariant violation (verify), 2 usage errors,
+3 numerical failures (an audit, residue or clamp check that did not hold).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .wigner import WignerConvention
 
 USAGE_EXIT = 2
 VIOLATION_EXIT = 1
+NUMERICAL_EXIT = 3
 
 _CONVENTIONS = tuple(c.value for c in WignerConvention)
 
@@ -153,6 +155,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return NUMERICAL_EXIT
     return USAGE_EXIT
 
 

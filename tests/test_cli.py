@@ -67,6 +67,21 @@ class TestPresetCommand:
         assert meta["params"]["j"] == 2.5
 
 
+class TestNumericalFailure:
+    @pytest.mark.parametrize("target, fake", [
+        ("pure_point_values", lambda psi, pt: (0.5, 0.75)),
+        ("_closed_kernel_mean", lambda params, alphas, betas: np.full(alphas.shape, 1e-3j)),
+    ], ids=["audit", "imaginary-residue"])
+    def test_exits_three_with_one_error_line(self, monkeypatch, capsys, target, fake):
+        import spincat.sweep
+
+        monkeypatch.setattr(spincat.sweep, target, fake)
+        assert main(["preset", "origin-check", "--out", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_count_arithmetic(self, tmp_path):
         out = tmp_path / "sweep.csv"

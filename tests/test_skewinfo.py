@@ -261,8 +261,17 @@ class TestSymmetrySweep:
             density_from_vector(cat_state(HALF_CAT)), ChannelParams(1.0)
         )
         grid = GridSpec(axes=(("q1", -1.0, 1.0, 5),))
-        with pytest.raises((ValueError, RuntimeError)):
+        with pytest.raises((ValueError, ArithmeticError)):
             symmetry_sweep(mixed, grid, pure_hint=True)
+
+    def test_pure_hint_audit_failure_is_arithmetic_error(self, monkeypatch):
+        rho = density_from_vector(cat_state(HALF_CAT))
+        wrong = SkewEvaluator.kernel_means
+        monkeypatch.setattr(SkewEvaluator, "kernel_means",
+                            lambda self, a, b: wrong(self, a, b) * 0.9)
+        grid = GridSpec(axes=(("q1", -1.0, 1.0, 5),))
+        with pytest.raises(ArithmeticError, match="pure-path audit failed"):
+            symmetry_sweep(rho, grid, pure_hint=True)
 
     def test_row_major_ordering(self):
         rho = density_from_vector(cat_state(HALF_CAT))

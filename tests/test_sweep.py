@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import spincat.sweep
 from spincat.channel import ChannelParams
-from spincat.grids import RECORD_COLUMNS, GridSpec
+from spincat.grids import RECORD_COLUMNS, GridSpec, SweepResult
 from spincat.states import CatParams
 from spincat.sweep import (
     evaluate_grid,
@@ -18,6 +19,29 @@ from spincat.sweep import (
 from spincat.wigner import PhasePoint, WignerConvention, wigner_closed_half, wigner_gaussian_half
 
 HALF_CAT = CatParams(0.5, np.pi, 0.0, 0.0, 2 * np.pi)
+
+
+def _reference_csv(result) -> str:
+    """The writer as it was before chunking: one f-string per value."""
+    def fmt(v):
+        if v == 0.0:
+            v = 0.0  # normalize -0.0
+        return f"{v:.17g}"
+
+    lines = ["# meta: " + json.dumps(result.meta, sort_keys=True), ",".join(RECORD_COLUMNS)]
+    lines += [",".join(fmt(v) for v in row) for row in result.records]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(result) -> str:
+    """The writer as it was before chunking: one json.dump of the payload."""
+    payload = {
+        "meta": result.meta,
+        "records": [dict(zip(RECORD_COLUMNS, map(float, row))) for row in result.records],
+    }
+    buf = io.StringIO()
+    json.dump(payload, buf, sort_keys=True)
+    return buf.getvalue() + "\n"
 
 
 class TestGridSpec:
@@ -163,10 +187,54 @@ class TestSerialization:
         assert row[0] == f"{1/3:.17g}"
 
     def test_negative_zero_normalized(self):
-        from spincat.sweep import _fmt
+        res = SweepResult(meta={}, records=np.array([[-0.0, 0.0, 1.0, -1.0, -0.0, 0.0, 0.0, 0.0]]))
+        buf = io.StringIO()
+        serialize_csv(res, buf)
+        assert buf.getvalue().splitlines()[2] == "0,0,1,-1,0,0,0,0"
 
-        assert _fmt(-0.0) == "0"
-        assert _fmt(0.0) == "0"
+    @pytest.mark.parametrize("n_rows, chunk", [
+        (1, 7), (6, 7), (7, 7), (8, 7), (10201, None),
+    ], ids=["one-row", "chunk-1", "chunk", "chunk+1", "fig1-size"])
+    def test_writers_match_reference_writers_byte_for_byte(self, monkeypatch, tmp_path,
+                                                           n_rows, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(spincat.sweep, "CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(n_rows)
+        special = np.array([-0.0, 5e-324, 1e16, 0.1, 1 / 3, np.nan, np.inf, -np.inf])
+        records = rng.standard_normal((n_rows, 8)) * 10.0 ** rng.integers(-20, 20, (n_rows, 8))
+        mask = rng.random((n_rows, 8)) < 0.3
+        records[mask] = rng.choice(special, mask.sum())
+        records[0] = special
+        res = SweepResult(meta={"z": [1.5, None], "a": {"y": "x", "b": -0.0}}, records=records)
+        for writer, reference in ((serialize_csv, _reference_csv),
+                                  (serialize_json, _reference_json)):
+            expected = reference(res)
+            buf = io.StringIO()
+            writer(res, buf)
+            assert buf.getvalue() == expected
+            path = tmp_path / "out"
+            writer(res, path)
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("writer, limit_mb", [(serialize_csv, 1.0), (serialize_json, 3.0)],
+                             ids=["csv", "json"])
+    def test_writer_working_set_is_bounded(self, writer, limit_mb):
+        # records are formatted and written in CHUNK_ROWS chunks, never as
+        # one document; the sink keeps nothing
+        import tracemalloc
+
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        res = run_preset("fig1c")
+        tracemalloc.start()
+        try:
+            writer(res, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
     def test_csv_roundtrip_and_budget_identity(self, tmp_path):
         res = evaluate_grid(HALF_CAT, GridSpec(axes=(("q1", -2.0, 2.0, 11),)))
