@@ -171,19 +171,6 @@ class SkewEvaluator:
         root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), self.block)).entries
         return root.reshape(d1, d2, d1, d2).transpose(0, 1, 3, 2).reshape(d1 * d2 * d2, d1)
 
-    def _by_alpha(self, alphas, betas):
-        """Per distinct alpha: that value, the indices of its points, its
-        (k1, g1) factors and the (k2, g2) stacks of those points' betas.  Each
-        distinct beta is built once; the alphas are built chunk by chunk, so
-        no stack of all alpha factors is held."""
-        b_vals, b_idx = np.unique(betas, return_inverse=True)
-        k2, g2 = _mode_factors(b_vals, self.d2)
-        a_vals, groups = axis_groups(alphas)
-        for idx, k1, g1 in _factor_chunks(a_vals, self.d1):
-            for i, k, g in zip(idx, k1, g1):
-                at = groups[i]
-                yield a_vals[i], at, (k, g), (k2[b_idx[at]], g2[b_idx[at]])
-
     def _contract(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
         """sum rho[a,b,x,y] f1[x,a] f2[p][y,b] for every stacked f2[p]."""
         m = (self._rho_pairs @ f1.ravel()).reshape(self.d2, self.d2)
@@ -214,11 +201,19 @@ class SkewEvaluator:
 
     def grid(self, alphas, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(W, variance, skew) arrays at the points (alphas[i], betas[i]): one
-        values() call per distinct alpha."""
+        values() call per distinct alpha.  Each distinct beta's factors are
+        built once; the alphas' are built chunk by chunk, so no stack of all
+        alpha factors is held."""
         alphas, betas = np.ravel(alphas), np.ravel(betas)
+        b_vals, b_idx = np.unique(betas, return_inverse=True)
+        k2, g2 = _mode_factors(b_vals, self.d2)
+        a_vals, groups = axis_groups(alphas)
         out = np.empty((3, alphas.size))
-        for a, at, mode1, mode2 in self._by_alpha(alphas, betas):
-            out[:, at] = self.values(PhasePoint(a, betas[at]), mode2, mode1)
+        for idx, k1, g1 in _factor_chunks(a_vals, self.d1):
+            for i, k, g in zip(idx, k1, g1):
+                at = groups[i]
+                point = PhasePoint(a_vals[i], betas[at])
+                out[:, at] = self.values(point, (k2[b_idx[at]], g2[b_idx[at]]), (k, g))
         return out[0], out[1], out[2]
 
     def values(self, point: PhasePoint, mode2: tuple[np.ndarray, np.ndarray] | None = None,
