@@ -18,17 +18,18 @@ the scale of the matrix entries themselves, which are bounded by 1).  This
 stays accurate for |gamma|^2 well beyond 200, where naive factorial-ratio
 evaluation overflows and matrix exponentials become untrustworthy.
 
-The recurrence is batched over an amplitude axis: displacement_matrix takes a
-1-d array of amplitudes and runs one loop for the whole stack, in chunks of
-amplitudes whose working arrays fit CHUNK_BYTES, with entries bit-identical
-to single-amplitude calls.
+By rotation covariance, <p|D(r e^(i phi))|q> = e^(i (p-q) phi) <p|D(r)|q>
+with D(r) real and D(r)[p, q] = (-1)^(p+q) D(r)[q, p] (Cahill & Glauber
+1969), so the recurrence is real, runs once per distinct modulus of a batch
+of amplitudes, and fills only the lower triangle.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import lgamma, factorial
+from cmath import phase
+from math import factorial, lgamma, log
 
 import numpy as np
 
@@ -52,8 +53,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10
 SQRT_EIG_ABORT = -1e-8
-# working-set budget of one chunk of a batched displacement recurrence
-CHUNK_BYTES = 1 << 19
+# lgamma(a + 1) for a < size, shared by every recurrence run
+_LGAMMA = np.zeros(0)
 
 
 class TruncationWarning(UserWarning):
@@ -131,33 +132,12 @@ def _as_n_max(cutoff) -> int:
     return int(cutoff)
 
 
-def _recurrence_tables(d: int, ncols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables shared by every amplitude and diagonal of one recurrence run:
-    lgamma(a + 1) for a < d, and for steps k < ncols the rows 2k + 1 + a and
-    sqrt(k (k + a)) (so sqrt((k + 1)(k + 1 + a)) is the next row)."""
-    offsets = np.arange(d, dtype=float)
-    steps = np.arange(ncols)[:, None]
-    lg = np.array([lgamma(k + 1.0) for k in range(d)])
-    return lg, 2 * steps + 1 + offsets, np.sqrt(steps * (steps + offsets))
-
-
-def _diagonals(gammas: list[complex], x: np.ndarray, n_offsets: int, ncols: int,
-               tables) -> np.ndarray:
-    """E[k, i, a] = <k+a|D(gammas[i])|k> for diagonal offsets a < n_offsets and
-    columns k < ncols; x[i] = |gammas[i]|^2, gammas nonzero."""
-    lg, linear, root = (t[..., :n_offsets] for t in tables)
-    offsets = np.arange(n_offsets, dtype=float)
-    log_abs = np.array([[np.log(abs(g))] for g in gammas])
-    angle = np.array([[np.angle(g)] for g in gammas])
-    x = x[:, None]
-    E = np.empty((ncols, len(gammas), n_offsets), dtype=complex)
-    log_first = -x / 2 + offsets * log_abs - 0.5 * lg
-    E[0] = np.exp(log_first) * np.exp(1j * offsets * angle)
-    if ncols > 1:
-        E[1] = (linear[0] - x) * E[0] / root[1]
-    for k in range(1, ncols - 1):
-        E[k + 1] = ((linear[k] - x) * E[k] - root[k] * E[k - 1]) / root[k + 1]
-    return E
+def _lgamma_prefix(d: int) -> np.ndarray:
+    """lgamma(a + 1) for a < d, from a module table that only ever grows."""
+    global _LGAMMA
+    if _LGAMMA.size < d:
+        _LGAMMA = np.append(_LGAMMA, [lgamma(a + 1.0) for a in range(_LGAMMA.size, d)])
+    return _LGAMMA[:d]
 
 
 def displacement_matrix(alpha, cutoff, ncols: int | None = None) -> np.ndarray:
@@ -173,11 +153,15 @@ def displacement_matrix(alpha, cutoff, ncols: int | None = None) -> np.ndarray:
 
     ``alpha`` may also be a 1-d array of n amplitudes; the result is then the
     stack (n, n_max + 1, ncols), and each entry equals the single-amplitude
-    call bit for bit.  One recurrence loop serves the whole stack, in chunks
-    of amplitudes whose working arrays stay within CHUNK_BYTES; zero
-    amplitudes get identity columns.
+    call bit for bit.  A real ``alpha`` gives a real result.
+
+    One real recurrence loop serves every distinct modulus r = |alpha| (by
+    scalar abs), writing straight into the columns of D(r), with no chunking.
+    A complex amplitude gets e^(i (p-q) phi) D(r), a negative real one
+    (-1)^(p+q) D(r) and a zero one identity columns; distinct non-negative
+    real amplitudes in ascending order get D(r) itself, with no copy.
     """
-    gammas = np.asarray(alpha, dtype=complex)
+    gammas = np.asarray(alpha, dtype=complex if np.iscomplexobj(alpha) else float)
     if not np.isfinite(gammas).all():
         raise ValueError(f"displacement amplitude must be finite, got {alpha}")
     n_max = _as_n_max(cutoff)
@@ -185,27 +169,39 @@ def displacement_matrix(alpha, cutoff, ncols: int | None = None) -> np.ndarray:
     ncols = d if ncols is None else min(int(ncols), d)
     if ncols < 1:
         raise ValueError(f"ncols must be >= 1, got {ncols}")
-    flat = gammas.ravel()
-    D = np.empty((flat.size, d, ncols), dtype=complex)
-    tables = _recurrence_tables(d, ncols)
-    per_chunk = max(1, CHUNK_BYTES // (16 * d * ncols))
-    for lo in range(0, flat.size, per_chunk):
-        # |gamma|, |gamma|^2 and log|gamma| by scalar operations: numpy's
-        # vectorised complex abs can differ from them in the last bit.  Zero
-        # amplitudes run as 1 and get their identity columns afterwards.
-        chunk = [complex(g) if g != 0 else 1.0 for g in flat[lo:lo + per_chunk]]
-        x = np.array([abs(g) ** 2 for g in chunk])
-        lower = _diagonals(chunk, x, d, ncols, tables)
-        # <p|D(gamma)|q> = conj(<q|D(-gamma)|p>) for q > p
-        upper = _diagonals([-g for g in chunk], x, ncols, ncols, tables)
-        out = D[lo:lo + per_chunk]
-        for q in range(ncols):
-            out[:, q:, q] = lower[q, :, :d - q]
-            above = np.arange(q)
-            out[:, :q, q] = np.conj(upper[above, :, q - above]).T
-        del lower, upper  # the next chunk's diagonals never coexist with these
-    D[flat == 0] = np.eye(d, ncols)
-    return D if gammas.ndim else D[0]
+    flat = gammas.ravel().tolist()
+    moduli, inverse = np.unique([abs(g) for g in flat], return_inverse=True)
+    D = np.empty((moduli.size, d, ncols))
+    zero = int(moduli.size > 0 and moduli[0] == 0)
+    D[:zero] = np.eye(d, ncols)
+    R, r = D[zero:], moduli[zero:, None]
+    # <k+a|D(r)|k> along diagonal a: column 0 in closed form, then
+    # E[k+1] = ((2k+1+a - r^2) E[k] - sqrt(k(k+a)) E[k-1]) / sqrt((k+1)(k+1+a))
+    x = r * r
+    a = np.arange(d, dtype=float)
+    log_r = np.array([log(m) for m in r[:, 0]])[:, None]
+    np.exp(-x / 2 + a * log_r - 0.5 * _lgamma_prefix(d), out=R[:, :, 0])
+    sign = (-1.0) ** a
+    root = None  # sqrt(k (k + a)) from the previous step
+    for k in range(ncols - 1):
+        # row k right of the diagonal: D(r)[k, k+a] = (-1)^a D(r)[k+a, k]
+        R[:, k, k + 1:] = sign[1:ncols - k] * R[:, k + 1:ncols, k]
+        step = (2 * k + 1 + a[:d - k - 1] - x) * R[:, k:d - 1, k]
+        if k:
+            step -= root[:d - k - 1] * R[:, k - 1:d - 2, k - 1]
+        root = np.sqrt((k + 1) * (k + 1 + a[:d - k - 1]))
+        R[:, k + 1:, k + 1] = step / root
+    if np.isrealobj(gammas) and min(flat, default=0) >= 0 \
+            and np.array_equal(inverse, np.arange(len(flat))):
+        return D if gammas.ndim else D[0]  # distinct moduli in ascending order
+    out = np.empty((len(flat), d, ncols), dtype=gammas.dtype)
+    for i, (g, m) in enumerate(zip(flat, inverse.tolist())):
+        out[i] = D[m]
+        if g.imag or g.real < 0:  # u_p conj(u_q) = e^(i (p-q) phi)
+            u = np.exp(1j * phase(g) * a) if isinstance(g, complex) else sign
+            out[i] *= u[:, None]
+            out[i] *= u[:ncols].conj()
+    return out if gammas.ndim else out[0]
 
 
 def parity_matrix(cutoff) -> np.ndarray:
@@ -217,7 +213,7 @@ def parity_matrix(cutoff) -> np.ndarray:
 def single_mode_kernel(alpha, cutoff, ncols: int | None = None) -> np.ndarray:
     """Displaced parity kernel Delta(alpha) = D(2 alpha) Pi for one mode, its
     first ``ncols`` columns (all by default); a stack for a 1-d array of
-    amplitudes, as displacement_matrix.
+    amplitudes, and real for a real alpha, as displacement_matrix.
 
     Built as a column sign flip of the displacement matrix, so every entry is
     the exact operator matrix element (no truncated intermediate sums) and the

@@ -25,21 +25,22 @@ columns c (the same block of Delta^2).  With rho[a,b,x,y], S = sqrt(rho):
         P[b,d,f,e]  = sum_{a,c} A[a,b,d,c] A[c,f,e,a],  A[a,b,d,c] = sum_x S[a,b,x,d] k1[x,c].
 
 The rho and P contractions run once per distinct alpha, in one
-SkewEvaluator.values call for all of that alpha's points.  The factors come
-from batched displacement recurrences: the distinct values are sorted by the
-rows their kernel columns need and built in chunks that fit
-fockspace.CHUNK_BYTES, so the alpha factors are never all held at once.
+SkewEvaluator.values call for all of that alpha's points.  Since
+Delta(r e^(i phi))[m, n] = e^(i (m-n) phi) Delta(r)[m, n] with Delta(r) real,
+k and g are built once per distinct modulus r, as real k(r) and c(r)^T c(r),
+in chunks whose real column stack fits CHUNK_BYTES; a value's phase pattern
+is applied only when that value is evaluated.
 """
 
 from __future__ import annotations
 
+from cmath import phase
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .fockspace import (
-    CHUNK_BYTES,
     DensityMatrix,
     FockCutoff,
     adequate_n_max,
@@ -63,6 +64,8 @@ SKEW_CLAMP = -1e-9
 PURITY_TOL = 1e-10
 AUDIT_TOL = 1e-7
 AUDIT_POINTS = 5
+# working-set budget of one chunk of real kernel columns
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -88,40 +91,38 @@ def _kernel_columns(alpha: complex, block: int) -> np.ndarray:
     return single_mode_kernel(alpha, _kernel_rows(alpha, block) - 1, block)
 
 
-def _factor_chunks(values, block: int):
-    """(k, g) for one mode, Delta(v) and Delta(v)^2 on levels < block, for
-    every v in ``values``: yields (indices, k stack, g stack) per chunk.
+def _value_factors(values, block: int):
+    """(i, k, g) for every values[i]: Delta(v) and Delta(v)^2 on levels < block.
 
-    Values are sorted by the rows their columns need and built in chunks whose
-    column stack fits CHUNK_BYTES, one batched single_mode_kernel call each;
-    every value's Gram matrix uses its own rows, so the factors equal
-    one-value builds bit for bit.
+    Moduli go in ascending order (so do their rows), one single_mode_kernel
+    call per chunk; each Gram matrix uses its own modulus' rows.
     """
-    rows = np.array([_kernel_rows(v, block) for v in values], dtype=int)
-    order = np.argsort(rows, kind="stable")
+    values = np.ravel(values).tolist()
+    moduli, inverse = np.unique([abs(v) for v in values], return_inverse=True)
+    _, members = axis_groups(inverse)
+    rows = [_kernel_rows(r, block) for r in moduli]
+    levels = np.arange(block)
     lo = 0
-    while lo < len(order):
+    while lo < len(moduli):
         hi = lo + 1
-        while hi < len(order) and (hi + 1 - lo) * rows[order[hi]] * block * 16 <= CHUNK_BYTES:
+        while hi < len(moduli) and (hi + 1 - lo) * rows[hi] * block * 8 <= CHUNK_BYTES:
             hi += 1
-        idx = order[lo:hi]
-        yield (idx, *_chunk_factors(values[idx], rows[idx], block))
+        cols = single_mode_kernel(moduli[lo:hi], rows[hi - 1] - 1, block)
+        factors = [(c[:block].copy(), c[:r].T @ c[:r]) for c, r in zip(cols, rows[lo:hi])]
+        del cols  # only the blocks stay while the chunk's values are used
+        for (k, g), at in zip(factors, members[lo:hi]):
+            for i in at.tolist():
+                u = np.exp(1j * phase(values[i]) * levels)
+                yield i, u[:, None] * k * u.conj(), u[:, None] * g * u.conj()
         lo = hi
-
-
-def _chunk_factors(values, rows, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k, g) stacks of one chunk; its column stack is freed on return."""
-    cols = single_mode_kernel(values, rows[-1] - 1, block)
-    g = np.array([c[:r].conj().T @ c[:r] for c, r in zip(cols, rows)])
-    return cols[:, :block].copy(), g
 
 
 def _mode_factors(values, block: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacks k[i], g[i] of the factors of values[i], in fresh arrays."""
     k = np.empty((len(values), block, block), dtype=complex)
     g = np.empty_like(k)
-    for idx, k_chunk, g_chunk in _factor_chunks(values, block):
-        k[idx], g[idx] = k_chunk, g_chunk
+    for i, k_i, g_i in _value_factors(values, block):
+        k[i], g[i] = k_i, g_i
     return k, g
 
 
@@ -209,11 +210,10 @@ class SkewEvaluator:
         k2, g2 = _mode_factors(b_vals, self.d2)
         a_vals, groups = axis_groups(alphas)
         out = np.empty((3, alphas.size))
-        for idx, k1, g1 in _factor_chunks(a_vals, self.d1):
-            for i, k, g in zip(idx, k1, g1):
-                at = groups[i]
-                point = PhasePoint(a_vals[i], betas[at])
-                out[:, at] = self.values(point, (k2[b_idx[at]], g2[b_idx[at]]), (k, g))
+        for i, k, g in _value_factors(a_vals, self.d1):
+            at = groups[i]
+            point = PhasePoint(a_vals[i], betas[at])
+            out[:, at] = self.values(point, (k2[b_idx[at]], g2[b_idx[at]]), (k, g))
         return out[0], out[1], out[2]
 
     def values(self, point: PhasePoint, mode2: tuple[np.ndarray, np.ndarray] | None = None,

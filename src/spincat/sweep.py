@@ -29,9 +29,9 @@ rendered with 17 significant digits.
 Both writers work in chunks of CHUNK_ROWS records, with one write call per
 chunk, so their working set does not grow with the grid.  A CSV chunk is one
 '%.17g' template applied to all its values; a JSON chunk is one call of the
-C JSON encoder.  The bytes equal those of the per-value writers they replace
-(f"{v:.17g}" with -0.0 written as 0, and json.dump of the whole payload with
-sorted keys), NaN and +-inf included; the tests keep those writers as the
+C JSON encoder.  The bytes equal those of per-value writers (f"{v:.17g}", and
+json.dump of the whole payload with sorted keys), NaN and +-inf included, and
+both formats write a -0.0 record as 0; the tests keep those writers as the
 reference.
 """
 
@@ -316,15 +316,17 @@ def serialize_json(result: SweepResult, destination) -> None:
     same field names as the CSV header.
 
     The bytes are those of json.dump({"meta": ..., "records": [...]}, f,
-    sort_keys=True) plus a newline, but each chunk of CHUNK_ROWS records goes
+    sort_keys=True) plus a newline, with -0.0 records written as 0.0 like the
+    CSV's, but each chunk of CHUNK_ROWS records goes
     through the C encoder (json.dump streams through the pure-Python one) and
     is written on its own, so the whole document is never held."""
     with _text_stream(destination, "w") as f:
         f.write('{"meta": ' + json.dumps(result.meta, sort_keys=True) + ', "records": [')
         records = result.records
         for lo in range(0, len(records), CHUNK_ROWS):
+            # + 0.0 writes -0.0 as 0.0, as the CSV does
             rows = [dict(zip(RECORD_COLUMNS, row))
-                    for row in records[lo:lo + CHUNK_ROWS].tolist()]
+                    for row in (records[lo:lo + CHUNK_ROWS] + 0.0).tolist()]
             f.write((", " if lo else "") + json.dumps(rows, sort_keys=True)[1:-1])
         f.write("]}\n")
 

@@ -55,6 +55,22 @@ class TestPresetCommand:
         payload = json.loads(out.read_text())
         assert len(payload["records"]) == 1
 
+    @pytest.mark.parametrize("s", ["1e-12", "1e-300"])
+    def test_noise_below_purity_margin_names_s_and_margin(self, capsys, s):
+        # the channel's purity check needs a drop above 1e-10; with a clean
+        # trace the error blames the weak noise, not the quadrature
+        assert main(["preset", "fig3a", "--channel-s", s, "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: noise strength s = {s} lowers the purity by ")
+        assert "1e-10 margin" in err
+        assert "quadrature" not in err
+        assert err.count("\n") == 1
+
+    def test_small_noise_above_purity_margin_runs(self, tmp_path):
+        out = tmp_path / "fig3a.csv"
+        assert main(["preset", "fig3a", "--channel-s", "1e-8", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2 + 101 * 101
+
     @pytest.mark.parametrize("s", ["inf", "nan"])
     def test_bad_noise_strength_is_usage_error(self, capsys, s):
         assert main(["preset", "fig3a", "--channel-s", s, "--out", "-"]) == 2

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -138,13 +140,19 @@ class TestDisplacementStack:
             assert np.array_equal(matrix, displacement_matrix(gamma, n_max, ncols))
 
     def test_chunk_boundaries_do_not_change_entries(self, monkeypatch):
-        import spincat.fockspace
+        # the kernel factors are built in chunks of distinct moduli whose real
+        # column stack fits skewinfo.CHUNK_BYTES; the amplitudes repeat moduli
+        import spincat.skewinfo
+        from spincat.skewinfo import _kernel_rows, _mode_factors
 
-        whole = displacement_matrix(self.AMPLITUDES, 120, 41)
-        # 120-row, 41-column chunks of one and of two amplitudes
-        for budget in (1, 2 * 121 * 41 * 16):
-            monkeypatch.setattr(spincat.fockspace, "CHUNK_BYTES", budget)
-            assert np.array_equal(displacement_matrix(self.AMPLITUDES, 120, 41), whole)
+        values = self.AMPLITUDES / 2
+        whole = _mode_factors(values, 4)
+        rows = _kernel_rows(values[3], 4)
+        # one modulus per chunk, and two of the largest
+        for budget in (1, 2 * rows * 4 * 8):
+            monkeypatch.setattr(spincat.skewinfo, "CHUNK_BYTES", budget)
+            for part, reference in zip(_mode_factors(values, 4), whole):
+                assert np.array_equal(part, reference)
 
     def test_kernel_stack_equals_per_amplitude_calls(self):
         stack = single_mode_kernel(self.AMPLITUDES / 2, 60, 2)
@@ -174,6 +182,68 @@ class TestDisplacementStack:
         gammas[where] = bad
         with pytest.raises(ValueError):
             displacement_matrix(gammas, 20, 3)
+
+
+class TestRotationCovariance:
+    """<p|D(r e^{i phi})|q> = e^{i (p - q) phi} <p|D(r)|q> with D(r) real."""
+
+    @pytest.mark.parametrize("r", [0.3, np.sqrt(50.0), np.sqrt(800.0)])
+    def test_real_amplitude_gives_real_matrix(self, r):
+        assert displacement_matrix(r, 40, 7).dtype == np.float64
+        assert displacement_matrix(np.array([r, -r, 0.0]), 40, 7).dtype == np.float64
+        assert single_mode_kernel(r, 40, 7).dtype == np.float64
+        assert displacement_matrix(complex(r), 40, 7).dtype == np.complex128
+
+    @pytest.mark.parametrize("r", [0.3, np.sqrt(50.0), np.sqrt(800.0)])
+    @pytest.mark.parametrize("ncols", [1, 7, 41])
+    def test_negative_amplitude_is_parity_pattern_bit_for_bit(self, r, ncols):
+        sign = (-1.0) ** np.arange(121)
+        pattern = np.outer(sign, sign[:ncols])
+        positive = displacement_matrix(r, 120, ncols)
+        assert np.array_equal(displacement_matrix(-r, 120, ncols), pattern * positive)
+        stack = displacement_matrix(np.array([r, -r, r]), 120, ncols)
+        assert np.array_equal(stack[1], pattern * positive)
+        assert np.array_equal(stack[2], positive)
+
+    @pytest.mark.parametrize("x", [0.5, 50.0, 200.0, 800.0])
+    @pytest.mark.parametrize("phi", [np.pi, 2.1, -0.4])
+    def test_complex_amplitude_is_phase_pattern(self, x, phi):
+        # e^{i (p - q) phi} = u_p conj(u_q), with phi and |gamma| exactly as
+        # the amplitude gives them; the closed-form test checks the entries
+        gamma = complex(np.sqrt(x) * np.exp(1j * phi))
+        u = np.exp(1j * cmath.phase(gamma) * np.arange(651))
+        pattern = np.outer(u, u[:41].conj())
+        real = displacement_matrix(abs(gamma), 650, 41)
+        assert np.abs(displacement_matrix(gamma, 650, 41) - pattern * real).max() <= 1e-15
+
+
+class TestDisplacementClosedForm:
+    """Entries against the associated-Laguerre closed form in mpmath, beyond
+    the reach of the expm oracle:
+
+        <p|D(g)|q> = sqrt(q!/p!) g^(p-q) e^(-|g|^2/2) L_q^(p-q)(|g|^2),  p >= q,
+
+    and for p < q the same with p, q swapped and g replaced by -g*."""
+
+    @staticmethod
+    def _element(mp, p, q, gamma):
+        x = mp.re(gamma) ** 2 + mp.im(gamma) ** 2
+        if p < q:
+            p, q, gamma = q, p, -mp.conj(gamma)
+        return (mp.sqrt(mp.factorial(q) / mp.factorial(p)) * gamma ** (p - q)
+                * mp.exp(-x / 2) * mp.laguerre(q, p - q, x))
+
+    @pytest.mark.parametrize("x", [0.5, 50.0, 200.0, 800.0])
+    @pytest.mark.parametrize("phi", [0.0, np.pi, 2.1])
+    def test_matches_laguerre_closed_form(self, x, phi):
+        mp = pytest.importorskip("mpmath")
+        gamma = complex(np.sqrt(x) * np.exp(1j * phi))
+        D = displacement_matrix(gamma, 734, 64)
+        rows, cols = np.r_[0:735:11, 734], np.r_[0:64:5, 63]
+        with mp.workdps(40):
+            g = mp.mpc(gamma)
+            ref = np.array([[complex(self._element(mp, p, q, g)) for q in cols] for p in rows])
+        assert np.abs(D[np.ix_(rows, cols)] - ref).max() <= 1e-13
 
 
 class TestParity:

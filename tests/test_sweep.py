@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,10 +35,12 @@ def _reference_csv(result) -> str:
 
 
 def _reference_json(result) -> str:
-    """The writer as it was before chunking: one json.dump of the payload."""
+    """The writer as it was before chunking: one json.dump of the payload,
+    with -0.0 records written as 0.0 like the CSV's."""
     payload = {
         "meta": result.meta,
-        "records": [dict(zip(RECORD_COLUMNS, map(float, row))) for row in result.records],
+        "records": [dict(zip(RECORD_COLUMNS, (float(v) + 0.0 for v in row)))
+                    for row in result.records],
     }
     buf = io.StringIO()
     json.dump(payload, buf, sort_keys=True)
@@ -146,27 +149,39 @@ class TestEvaluateGrid:
         assert outputs[0] == outputs[1]
 
     def test_displacement_built_once_per_node_and_axis_value(self, monkeypatch):
-        # a noisy 21x21 sweep needs one displacement matrix per superoperator
-        # node (24^2) and one per distinct alpha and beta (21 + 21), no more;
-        # batched calls pass many amplitudes at once, so count amplitudes
+        # the recurrence runs once per distinct modulus |gamma|: a noisy 21x21
+        # sweep needs the 78 distinct moduli of the 24^2 Kraus nodes and the
+        # 18 distinct moduli of the 21 alphas and of the 21 betas (linspace is
+        # not exactly symmetric), each exactly once; the kernel factors pass
+        # their moduli, the Kraus nodes their amplitudes
         import spincat.channel
         import spincat.fockspace
 
         original = spincat.fockspace.displacement_matrix
-        built = []
+        passed, built, logs = [], [], []
 
         def counting(alpha, cutoff, ncols=None):
             result = original(alpha, cutoff, ncols)
-            built.extend((complex(g), result.shape[-1]) for g in np.ravel(alpha))
+            moduli = [(abs(complex(g)), result.shape[-1]) for g in np.ravel(alpha)]
+            passed.extend(moduli)
+            built.extend(set(moduli))
             return result
+
+        def counting_log(x):
+            logs.append(x)
+            return math.log(x)
 
         monkeypatch.setattr(spincat.fockspace, "displacement_matrix", counting)
         monkeypatch.setattr(spincat.channel, "displacement_matrix", counting)
+        # every nonzero modulus entering the recurrence takes its log once
+        monkeypatch.setattr(spincat.fockspace, "log", counting_log)
         monkeypatch.setattr(spincat.channel, "_SUPEROP_CACHE", {})
         grid = GridSpec(axes=(("q1", -2.0, 2.0, 21), ("q2", -2.0, 2.0, 21)))
         evaluate_grid(HALF_CAT, grid, channel=ChannelParams(1.0))
-        assert len(built) == 24 * 24 + 21 + 21
-        assert len(set(built)) == len(built)  # no (amplitude, columns) built twice
+        assert len(passed) == 24 * 24 + 18 + 18
+        assert len(built) == 78 + 18 + 18
+        assert len(set(built)) == len(built)  # no (modulus, columns) built twice
+        assert sorted(logs) == sorted(r for r, _ in built if r > 0)
 
 
 class TestSerialization:
@@ -191,6 +206,11 @@ class TestSerialization:
         buf = io.StringIO()
         serialize_csv(res, buf)
         assert buf.getvalue().splitlines()[2] == "0,0,1,-1,0,0,0,0"
+        buf = io.StringIO()
+        serialize_json(res, buf)
+        record = json.loads(buf.getvalue())["records"][0]
+        assert "-0.0" not in buf.getvalue()
+        assert [math.copysign(1.0, record[name]) for name in ("q1", "W")] == [1.0, 1.0]
 
     @pytest.mark.parametrize("n_rows, chunk", [
         (1, 7), (6, 7), (7, 7), (8, 7), (10201, None),
