@@ -34,9 +34,9 @@ is applied only when that value is evaluated.
 
 from __future__ import annotations
 
-from cmath import phase
 from dataclasses import dataclass
 from functools import cached_property
+from math import atan2
 
 import numpy as np
 
@@ -97,9 +97,10 @@ def _value_factors(values, block: int):
     Moduli go in ascending order (so do their rows), one single_mode_kernel
     call per chunk; each Gram matrix uses its own modulus' rows.
     """
-    values = np.ravel(values).tolist()
-    moduli, inverse = np.unique([abs(v) for v in values], return_inverse=True)
-    _, members = axis_groups(inverse)
+    members = {}  # modulus: [(index, phase)], without numpy's float sort
+    for i, v in enumerate(np.ravel(values).tolist()):
+        members.setdefault(abs(v), []).append((i, atan2(v.imag, v.real)))
+    moduli = sorted(members)
     rows = [_kernel_rows(r, block) for r in moduli]
     levels = np.arange(block)
     lo = 0
@@ -107,12 +108,12 @@ def _value_factors(values, block: int):
         hi = lo + 1
         while hi < len(moduli) and (hi + 1 - lo) * rows[hi] * block * 8 <= CHUNK_BYTES:
             hi += 1
-        cols = single_mode_kernel(moduli[lo:hi], rows[hi - 1] - 1, block)
+        cols = single_mode_kernel(np.array(moduli[lo:hi]), rows[hi - 1] - 1, block)
         factors = [(c[:block].copy(), c[:r].T @ c[:r]) for c, r in zip(cols, rows[lo:hi])]
         del cols  # only the blocks stay while the chunk's values are used
-        for (k, g), at in zip(factors, members[lo:hi]):
-            for i in at.tolist():
-                u = np.exp(1j * phase(values[i]) * levels)
+        for (k, g), r in zip(factors, moduli[lo:hi]):
+            for i, phi in members[r]:
+                u = np.exp(1j * phi * levels)
                 yield i, u[:, None] * k * u.conj(), u[:, None] * g * u.conj()
         lo = hi
 

@@ -16,10 +16,10 @@ The grid is evaluated in batches, not point by point: the closed form
 (wigner._closed_kernel_mean; behind the channel, channel_wigner_convolution
 on the whole batch) and the skew engine (skewinfo.SkewEvaluator.grid) build
 their single-mode factors once per distinct alpha and per distinct beta, then
-evaluate all points of one alpha together.  Their kernel columns come from
-batched displacement recurrences over the amplitude axis, in chunks bounded
-by fockspace.CHUNK_BYTES; the channel's Kraus nodes are one batch.  Only the
-noiseless "gaussian" surrogate is still evaluated point by point.
+evaluate all points of one alpha together.  The skew engine's kernel columns
+come from real displacement recurrences, one per distinct modulus, in chunks
+bounded by skewinfo.CHUNK_BYTES; the channel's Kraus nodes are one batch.
+Only the noiseless "gaussian" surrogate is still evaluated point by point.
 
 CSV output is bit-deterministic on one machine at one BLAS thread count (a
 different thread count can change the last bit of I): a single
