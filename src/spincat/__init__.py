@@ -67,7 +67,6 @@ from .wigner import (
     wigner_closed_half,
     wigner_gaussian_general,
     wigner_gaussian_half,
-    wigner_grid,
     wigner_kernel_trace,
 )
 
@@ -88,6 +87,6 @@ __all__ = [
     "serialize_csv", "serialize_json",
     "GaussianFormReport", "PhasePoint", "WignerConvention",
     "reconcile_gaussian_form", "wigner_closed_general", "wigner_closed_half",
-    "wigner_gaussian_general", "wigner_gaussian_half", "wigner_grid",
+    "wigner_gaussian_general", "wigner_gaussian_half",
     "wigner_kernel_trace",
 ]

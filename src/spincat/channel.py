@@ -3,11 +3,11 @@ complex Gaussian of variance s.
 
 Three routes to the post-channel Wigner function are provided and must agree:
 
-* ``apply_channel_density`` integrates the Kraus form
-  rho' = integral D(z) rho D(z)+ dmu_s(z) with Gauss-Hermite quadrature,
-  assembled once per (s, order, dims) as a single-mode superoperator and
-  cached.  The output lives on an enlarged mode-1 cutoff sized from the slow
-  thermal tail the channel creates.
+* ``apply_channel_density`` gives the channel output rho' exactly, up to a
+  mode-1 truncation: the channel factors into a pure loss of transmissivity
+  1/(1+s) followed by a quantum-limited amplifier of gain 1+s, and both act
+  through closed-form Fock Kraus operators.  The output lives on an enlarged
+  mode-1 cutoff sized from the slow thermal tail the channel creates.
 
 * ``channel_wigner_convolution`` evaluates the convolution
   W'(alpha, beta) = integral W(alpha - z, beta) dmu_s(z) in closed form:
@@ -15,26 +15,28 @@ Three routes to the post-channel Wigner function are provided and must agree:
   (fockspace.smoothed_kernel_element); for the Gaussian-branch form each term
   integrates by completing the square.
 
-* ``channel_wigner_quadrature`` integrates the same convolution numerically,
-  existing purely as the independent oracle for the analytic route.
+* ``channel_wigner_quadrature`` integrates the same convolution numerically
+  at order QUADRATURE_ORDER, existing purely as the independent oracle for
+  the analytic route.
 
 Quadrature scaling: the raw substitution z = sqrt(s) u makes Gauss-Hermite
 agonizingly slow for s >~ 1 because the integrand's own Gaussian envelope is
-then much narrower than the weight.  Both integrands carry a known envelope -
-exp(-2|z|^2) per Wigner value, exp(-|z|^2) per displacement sandwich - so the
-substitution is tuned to flatten the product exactly: sigma = sqrt(s/(1+2s))
-for Wigner integrands and sqrt(s/(1+s)) for the Kraus integral.  At order 24
+then much narrower than the weight.  Each Wigner value carries the known
+envelope exp(-2|z|^2), so the substitution sigma = sqrt(s/(1+2s)) flattens
+the product exactly (``gaussian_measure_nodes(envelope=2)``; a displacement
+sandwich D(z) rho D(z)+ decays like exp(-|z|^2), envelope 1).  At order 24
 this reaches ~1e-9 where the raw scaling stalls near 1e-4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log, log1p
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .fockspace import DensityMatrix, FockCutoff, displacement_matrix
+from .fockspace import DensityMatrix, FockCutoff, _lgamma_prefix
 from .states import CatParams
 from .wigner import (
     PhasePoint,
@@ -59,23 +61,20 @@ TRACE_DRIFT_ABORT = 1e-6
 TAIL_TARGET = 1e-10
 # the output purity must drop by more than this
 PURITY_MARGIN = 1e-10
+# Gauss-Hermite order per axis of the channel_wigner_quadrature oracle
+QUADRATURE_ORDER = 24
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Noise strength s plus quadrature settings for the Kraus integral."""
+    """Noise strength s: the variance of the random displacement, and the
+    mean photon number the channel adds to mode 1."""
 
     s: float
-    quad_order: int = 24
-    quad_radius_sigmas: float = 6.0
 
     def __post_init__(self):
         if not (np.isfinite(self.s) and self.s > 0):
             raise ValueError(f"noise strength s must be finite and > 0, got {self.s}")
-        if self.quad_order < 8:
-            raise ValueError(f"quad_order must be >= 8, got {self.quad_order}")
-        if not self.quad_radius_sigmas > 0:
-            raise ValueError("quad_radius_sigmas must be > 0")
 
 
 def gaussian_measure_nodes(s: float, order: int,
@@ -109,49 +108,45 @@ def required_mode1_growth(s: float, tail: float = TAIL_TARGET) -> int:
     return int(np.ceil(np.log(tail) / np.log(s / (1.0 + s)))) + 4
 
 
-_SUPEROP_CACHE: dict[tuple, np.ndarray] = {}
-_SUPEROP_CACHE_LIMIT = 8
-
-
-def _noise_superop(s: float, order: int, d_out: int, d_in: int) -> np.ndarray:
-    """S[i, a, j, b] = integral <i|D(z)|a> <j|D(z)|b>* dmu_s(z), quadrature form.
-
-    Each displacement sandwich decays like exp(-|z|^2), so the nodes use
-    envelope = 1; one batched displacement_matrix call builds all order^2
-    nodes.  The nodes sigma (t_i + i t_k) of the symmetric Hermite rule share
-    moduli, so that call runs its real recurrence once per distinct |z| (78
-    of 576 at order 24, for any s) and gives each node its phase pattern.
-    Node ordering is fixed, making the assembled operator (and everything
-    downstream) bit-deterministic on one machine at one BLAS thread count.
-    """
-    key = (float(s), int(order), int(d_out), int(d_in))
-    hit = _SUPEROP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    zs, ws = gaussian_measure_nodes(s, order, envelope=1.0)
-    flat = displacement_matrix(zs, d_out - 1, d_in).reshape(len(zs), d_out * d_in)
-    S = ((flat.T * ws) @ flat.conj()).reshape(d_out, d_in, d_out, d_in)
-    S.setflags(write=False)
-    if len(_SUPEROP_CACHE) >= _SUPEROP_CACHE_LIMIT:
-        _SUPEROP_CACHE.pop(next(iter(_SUPEROP_CACHE)))
-    _SUPEROP_CACHE[key] = S
-    return S
-
-
 def _apply_mode1(rho: DensityMatrix, ch: ChannelParams) -> DensityMatrix:
+    """Loss of transmissivity eta = 1/(1+s), then an amplifier of gain 1/eta,
+    on mode 1.  With L = log eta and M = log(s/(1+s)), both Kraus maps share
+    w_l[m] = sqrt(C(m+l, l)) exp((m L + l M) / 2):
+
+        <m|A_l|m+l> = w_l[m],    <m+l|B_l|m> = w_l[m] sqrt(eta).
+
+    Each A_l moves rho[a, x, b, y] down by l levels in a and b, each B_l up;
+    the amplifier keeps the terms with m + l below the output cutoff."""
     d1_in, _ = rho.mode_support()
     d2 = rho.cutoff.dim2
     d1_out = d1_in + required_mode1_growth(ch.s)
-    S = _noise_superop(ch.s, ch.quad_order, d1_out, d1_in)
+    log_eta = -log1p(ch.s)
+    log_mix = log(ch.s) + log_eta
+    lg = _lgamma_prefix(d1_out + d1_in)
+
+    def weights(l: int, k: int) -> np.ndarray:
+        """w_l[m] w_l[m'] for m, m' < k, shaped to scale rho4[m, :, m', :]."""
+        m = np.arange(k)
+        w = np.exp(0.5 * (lg[m + l] - lg[l] - lg[m] + m * log_eta + l * log_mix))
+        return np.multiply.outer(w, w)[:, None, :, None]
+
     rho4 = rho.as_modes()[:d1_in, :, :d1_in, :]
-    out4 = np.einsum("iajb,axby->ixjy", S, rho4, optimize=True)
+    lossy = np.zeros_like(rho4)
+    for l in range(d1_in):
+        k = d1_in - l
+        lossy[:k, :, :k, :] += weights(l, k) * rho4[l:, :, l:, :]
+    lossy *= np.exp(log_eta)  # the amplifier's sqrt(eta) on both sides
+    out4 = np.zeros((d1_out, d2, d1_out, d2), dtype=rho4.dtype)
+    for l in range(d1_out):
+        k = min(d1_in, d1_out - l)
+        out4[l:l + k, :, l:l + k, :] += weights(l, k) * lossy[:k, :, :k, :]
     out = out4.reshape(d1_out * d2, d1_out * d2)
     trace = float(np.real(out.trace()))
     drift = abs(trace - 1.0)
     if drift > TRACE_DRIFT_ABORT:
-        raise ValueError(
-            f"channel trace drift {drift:.3e} exceeds {TRACE_DRIFT_ABORT}; "
-            "raise quad_order or the cutoff"
+        raise ArithmeticError(
+            f"channel trace drift {drift:.3e} exceeds {TRACE_DRIFT_ABORT:g} at mode-1 "
+            f"cutoff n1_max = {d1_out - 1} (s = {ch.s:g})"
         )
     out /= trace
     out = 0.5 * (out + out.conj().T)
@@ -162,37 +157,28 @@ def _apply_mode1(rho: DensityMatrix, ch: ChannelParams) -> DensityMatrix:
     )
 
 
-def _swap_modes(rho: DensityMatrix) -> DensityMatrix:
-    swapped = rho.as_modes().transpose(1, 0, 3, 2)
-    c = rho.cutoff
-    return DensityMatrix(
-        FockCutoff(c.n2_max, c.n1_max),
-        np.ascontiguousarray(swapped.reshape(c.dim, c.dim)),
-        tail_defect=rho.tail_defect,
-    )
+def apply_channel_density(rho: DensityMatrix, ch: ChannelParams) -> DensityMatrix:
+    """Exact action of the channel on mode 1, truncated to a grown cutoff.
 
+    The channel is a pure-loss channel of transmissivity 1/(1+s) followed by
+    a quantum-limited amplifier of gain 1+s (Caruso, Giovannetti & Holevo,
+    New J. Phys. 8, 310 (2006)), both in closed-form Fock Kraus operators, so
+    the output is exact on levels below its mode-1 cutoff, which grows by
+    required_mode1_growth(s) beyond the input's mode-1 support.  The mass the
+    amplifier sends above that cutoff is the trace drift: beyond 1e-6 the
+    call raises ArithmeticError; smaller drift is recorded on the output's
+    tail_defect and the matrix is renormalized to unit trace.  Both maps
+    conserve n1 - n1', so a state supported on fixed n1 + n2 (a cat state's
+    shell) leaves every entry between different n1 + n2 exactly zero.
 
-def apply_channel_density(rho: DensityMatrix, ch: ChannelParams,
-                          both_modes: bool = False) -> DensityMatrix:
-    """Kraus-quadrature action of the channel on mode 1.
-
-    The output cutoff grows by required_mode1_growth(s) beyond the input's
-    mode-1 support.  Trace drift beyond 1e-6 aborts (quadrature or cutoff
-    inadequate); smaller drift is recorded on the output's tail_defect and the
-    matrix is renormalized to unit trace.  Noise strictly mixes, so the output
-    purity must drop by more than PURITY_MARGIN (1e-10), or the call aborts.
-    With a clean trace (drift below that margin) a failure means the noise is
-    too weak for the check, and the error names s and the purity drop (the
-    fig3a state loses about 4s, so s = 1e-8 passes and 1e-12 fails);
-    otherwise the quadrature is blamed.
-
-    ``both_modes`` additionally pushes mode 2 through the same channel (a
-    convenience; every agreement contract in this package addresses the
-    mode-1-only form).
+    Noise strictly mixes, so the output purity must drop by more than
+    PURITY_MARGIN (1e-10), or the call aborts.  With a clean trace (drift
+    below that margin) a failure means the noise is too weak for the check,
+    and the ValueError names s and the purity drop (the fig3a state loses
+    about 4s, so s = 1e-8 passes and 1e-12 fails); otherwise the truncation
+    is blamed with an ArithmeticError.
     """
     result = _apply_mode1(rho, ch)
-    if both_modes:
-        result = _swap_modes(_apply_mode1(_swap_modes(result), ch))
     drop = rho.purity() - result.purity()
     if drop < PURITY_MARGIN:
         if result.tail_defect - rho.tail_defect < PURITY_MARGIN:
@@ -201,9 +187,9 @@ def apply_channel_density(rho: DensityMatrix, ch: ChannelParams,
                 f"more than the {PURITY_MARGIN:g} margin the channel check needs; "
                 "use a larger s"
             )
-        raise ValueError(
-            "channel output purity did not decrease; quadrature inadequate "
-            f"(in {rho.purity():.12f}, out {result.purity():.12f})"
+        raise ArithmeticError(
+            "channel output purity did not decrease; the mode-1 truncation is "
+            f"inadequate (in {rho.purity():.12f}, out {result.purity():.12f})"
         )
     return result
 
@@ -274,7 +260,7 @@ def channel_wigner_quadrature(params: CatParams, ch: ChannelParams, point: Phase
                               form: str = "closed") -> float:
     """Post-channel Wigner value by numerical integration of
     integral W(alpha - z, beta) dmu_s(z); the oracle for the analytic route."""
-    zs, ws = gaussian_measure_nodes(ch.s, ch.quad_order, envelope=2.0)
+    zs, ws = gaussian_measure_nodes(ch.s, QUADRATURE_ORDER, envelope=2.0)
     if form == "closed":
         if params.twoj > 1:
             _require_interior_theta(params)

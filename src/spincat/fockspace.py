@@ -52,6 +52,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10
 SQRT_EIG_ABORT = -1e-8
+# relative to a block's largest eigenvalue
+SQRT_EIG_FLOOR = 1e-14
 # lgamma(a + 1) for a < size, shared by every recurrence run
 _LGAMMA = np.zeros(0)
 
@@ -356,19 +358,30 @@ def displaced_parity_kernel(point, cutoff: FockCutoff) -> TwoModeOperator:
 def hermitian_sqrt(rho: DensityMatrix) -> TwoModeOperator:
     """Hermitian PSD square root of a density matrix via eigendecomposition.
 
-    Eigenvalues in [-1e-8, 0) are clamped to 0 (quadrature-built states carry
-    that much negative noise); anything below -1e-8 signals an invalid state
-    upstream and raises.
+    When no entry couples two different total photon numbers N = n1 + n2 (a
+    cat state's shell, and its channel output), the root is taken per block
+    of one N; otherwise the whole matrix is one block.  Per block, eigenvalues
+    below SQRT_EIG_FLOOR times the block's largest are taken as 0: eigh
+    resolves them only to rounding of the block's scale, and sqrt would turn
+    that noise into O(1e-8) garbage.  An eigenvalue below -1e-8 signals an
+    invalid state upstream and raises.
     """
-    lam, vec = np.linalg.eigh(rho.entries)
-    if lam.min() < SQRT_EIG_ABORT:
-        raise ValueError(
-            f"density matrix has eigenvalue {lam.min():.3e} < {SQRT_EIG_ABORT}; "
-            "not a physical state"
-        )
-    # below the eigh noise floor sqrt(lambda) would inject O(1e-8) garbage
-    lam = np.where(lam < 1e-14, 0.0, lam)
-    root = (vec * np.sqrt(lam)) @ vec.conj().T
+    c = rho.cutoff
+    total = (np.arange(c.dim1)[:, None] + np.arange(c.dim2)).ravel()
+    blocks = [np.flatnonzero(total == n) for n in range(c.n1_max + c.n2_max + 1)]
+    subs = [rho.entries[np.ix_(b, b)] for b in blocks]
+    if sum(np.count_nonzero(sub) for sub in subs) != np.count_nonzero(rho.entries):
+        blocks, subs = [np.arange(c.dim)], [rho.entries]
+    root = np.zeros_like(rho.entries)
+    for b, sub in zip(blocks, subs):
+        lam, vec = np.linalg.eigh(sub)
+        if lam[0] < SQRT_EIG_ABORT:
+            raise ValueError(
+                f"density matrix has eigenvalue {lam[0]:.3e} < {SQRT_EIG_ABORT}; "
+                "not a physical state"
+            )
+        lam = np.where(lam < SQRT_EIG_FLOOR * lam[-1], 0.0, lam)
+        root[np.ix_(b, b)] = (vec * np.sqrt(lam)) @ vec.conj().T
     root = 0.5 * (root + root.conj().T)
     return TwoModeOperator(rho.cutoff, root)
 

@@ -18,8 +18,9 @@ on the whole batch) and the skew engine (skewinfo.SkewEvaluator.grid) build
 their single-mode factors once per distinct alpha and per distinct beta, then
 evaluate all points of one alpha together.  The skew engine's kernel columns
 come from real displacement recurrences, one per distinct modulus, in chunks
-bounded by skewinfo.CHUNK_BYTES; the channel's Kraus nodes are one batch.
-Only the noiseless "gaussian" surrogate is still evaluated point by point.
+bounded by skewinfo.CHUNK_BYTES; the channel's closed-form Kraus maps need
+none.  Only the noiseless "gaussian" surrogate is still evaluated point by
+point.
 
 CSV output is bit-deterministic on one machine at one BLAS thread count (a
 different thread count can change the last bit of I): a single
@@ -134,13 +135,7 @@ def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
             "phi1": params.phi1,
             "phi2": params.phi2,
         },
-        "channel": None
-        if channel is None
-        else {
-            "s": channel.s,
-            "quad_order": channel.quad_order,
-            "quad_radius_sigmas": channel.quad_radius_sigmas,
-        },
+        "channel": None if channel is None else {"s": channel.s},
         "grid": {
             "axes": [list(ax) for ax in grid.axes],
             "fixed": dict(sorted(grid.fixed.items())),

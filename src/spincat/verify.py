@@ -128,7 +128,13 @@ def check_sqrt_roundtrip(rng):
     err = np.abs(root.entries @ root.entries - rho.entries).max()
     assert err < 1e-9, f"sqrt square defect {err:.3e}"
     assert np.abs(root.entries - rho.entries).max() < 1e-9, "projector is its own root"
-    return f"sqrt(rho)^2 = rho to {err:.1e}"
+    # a mixed state whose root is taken per N-block: fig5a's channel output
+    fig5_cat = CatParams(1.0, np.pi / 3, np.pi / 2, 0.0, 2 * np.pi)
+    noisy = apply_channel_density(density_from_vector(cat_state(fig5_cat)), ChannelParams(1.0))
+    root = hermitian_sqrt(noisy)
+    err_noisy = np.abs(root.entries @ root.entries - noisy.entries).max()
+    assert err_noisy < 1e-9, f"sqrt square defect {err_noisy:.3e} on the channel output"
+    return f"sqrt(rho)^2 = rho to {err:.1e} (pure), {err_noisy:.1e} (fig5a channel output)"
 
 
 def check_shell_support(rng):
@@ -364,19 +370,19 @@ def check_channel_identity_limit(rng):
 
 def check_three_route(rng):
     worst = 0.0
-    for j in (0.5, 1.0):
-        for s in (0.5, 1.0, 2.0):
-            params = _rand_params(rng, j=j)
-            ch = ChannelParams(s)
-            rho = apply_channel_density(density_from_vector(cat_state(params)), ch)
-            for _ in range(4):
-                pt = _rand_point(rng)
-                wa = channel_wigner_convolution(params, ch, pt)
-                wq = channel_wigner_quadrature(params, ch, pt)
-                wk = wigner_kernel_trace(rho, pt)
-                worst = max(worst, abs(wa - wq), abs(wa - wk), abs(wq - wk))
-    assert worst < 1e-5, f"three-route disagreement {worst:.3e}"
-    return f"analytic/quadrature/Kraus routes agree to {worst:.1e}"
+    cases = [(j, s, 4) for j in (0.5, 1.0) for s in (0.5, 1.0, 2.0)] + [(2.5, 1.0, 2)]
+    for j, s, n_points in cases:
+        params = _rand_params(rng, j=j)
+        ch = ChannelParams(s)
+        rho = apply_channel_density(density_from_vector(cat_state(params)), ch)
+        for _ in range(n_points):
+            pt = _rand_point(rng)
+            wa = channel_wigner_convolution(params, ch, pt)
+            wq = channel_wigner_quadrature(params, ch, pt)
+            wk = wigner_kernel_trace(rho, pt)
+            worst = max(worst, abs(wa - wq), abs(wa - wk), abs(wq - wk))
+    assert worst < 1e-8, f"three-route disagreement {worst:.3e}"
+    return f"analytic/quadrature/Kraus routes agree to {worst:.1e} (j <= 5/2)"
 
 
 def check_semigroup(rng):

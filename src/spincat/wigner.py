@@ -49,7 +49,6 @@ __all__ = [
     "wigner_kernel_trace",
     "GaussianFormReport",
     "reconcile_gaussian_form",
-    "wigner_grid",
 ]
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -332,11 +331,3 @@ def reconcile_gaussian_form(params: CatParams, points: list[PhasePoint],
         n_points=len(points),
     )
 
-
-def wigner_grid(params: CatParams, grid, evaluator: str = "closed",
-                conv: WignerConvention = WignerConvention.KERNEL_MEAN):
-    """Evaluate a cat state's Wigner function over a GridSpec; see
-    sweep.evaluate_grid for the full record layout."""
-    from .sweep import evaluate_grid
-
-    return evaluate_grid(params, grid, evaluator=evaluator, conv=conv)

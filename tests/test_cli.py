@@ -71,6 +71,12 @@ class TestPresetCommand:
         assert main(["preset", "fig3a", "--channel-s", "1e-8", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2 + 101 * 101
 
+    def test_strong_noise_runs(self, tmp_path):
+        out = tmp_path / "fig3a.csv"
+        assert main(["preset", "fig3a", "--channel-s", "3", "--out", str(out)]) == 0
+        meta = json.loads(out.read_text().splitlines()[0][len("# meta: "):])
+        assert meta["channel"] == {"s": 3.0}
+
     @pytest.mark.parametrize("s", ["inf", "nan"])
     def test_bad_noise_strength_is_usage_error(self, capsys, s):
         assert main(["preset", "fig3a", "--channel-s", s, "--out", "-"]) == 2
@@ -96,6 +102,16 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    def test_channel_trace_drift_exits_three(self, monkeypatch, capsys):
+        import spincat.channel
+
+        monkeypatch.setattr(spincat.channel, "required_mode1_growth", lambda s, tail=0: 1)
+        assert main(["preset", "fig3a", "--out", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel trace drift ") and err.count("\n") == 1
+        assert "n1_max = 2" in err
 
 
 class TestSweepCommand:

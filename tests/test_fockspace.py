@@ -374,6 +374,28 @@ class TestHermitianSqrt:
         root = hermitian_sqrt(rho)
         assert np.abs(root.entries @ root.entries - rho.entries).max() < 1e-9
 
+    def test_blocks_of_one_photon_number_keep_small_eigenvalues(self):
+        # the floor is relative to each N = n1 + n2 block: the N = 1 block's
+        # 1e-15 is its own largest eigenvalue, so its root survives
+        cut = FockCutoff(1, 0)
+        rho = DensityMatrix(cut, np.diag([1.0 - 1e-15, 1e-15]).astype(complex))
+        root = hermitian_sqrt(rho)
+        assert root.entries[1, 1] == pytest.approx(np.sqrt(1e-15), rel=1e-12)
+
+    def test_block_diagonal_root_matches_dense_root(self):
+        # a random state on each N-block of FockCutoff(2, 1): the per-block
+        # root equals the root of the whole matrix
+        cut = FockCutoff(2, 1)
+        total = (np.arange(3)[:, None] + np.arange(2)).ravel()
+        m = RNG.normal(size=(6, 6)) + 1j * RNG.normal(size=(6, 6))
+        rho_m = m @ m.conj().T * (total[:, None] == total)
+        rho_m /= rho_m.trace()
+        lam, vec = np.linalg.eigh(rho_m)
+        dense = (vec * np.sqrt(lam)) @ vec.conj().T
+        root = hermitian_sqrt(DensityMatrix(cut, rho_m))
+        assert np.abs(root.entries - dense).max() < 1e-13
+        assert np.all(root.entries[total[:, None] != total] == 0)
+
     def test_rejects_negative_eigenvalue(self):
         cut = FockCutoff(1, 0)
         rho = DensityMatrix(cut, np.diag([1.5, -0.5]).astype(complex))

@@ -12,6 +12,7 @@ from spincat.skewinfo import (
     symmetry_sweep,
 )
 from spincat.states import CatParams, cat_state, density_from_vector, dicke_vector
+from spincat.sweep import PRESETS
 from spincat.wigner import PhasePoint, wigner_kernel_trace
 
 RNG = np.random.default_rng(31)
@@ -98,14 +99,15 @@ class TestSkewInformationMixed:
         rho = DensityMatrix(cut, m)
         assert skew_information(rho, PhasePoint(0j, 0j)) <= 1e-10
 
-    def test_two_quadrature_orders_agree_post_channel(self):
-        rho = density_from_vector(cat_state(HALF_CAT))
-        pt = PhasePoint(0j, 0j)
-        vals = []
-        for order in (24, 32):
-            out = apply_channel_density(rho, ChannelParams(1.0, quad_order=order))
-            vals.append(skew_information(out, pt))
-        assert vals[0] == pytest.approx(vals[1], abs=1e-6)
+    def test_square_trace_post_channel_matches_mpmath(self):
+        # Tr[(sqrt(rho') Delta)^2] at fig5a (j = 1, s = 1, q1 = -4) on the
+        # d1 = 41 truncation; the reference is an mpmath evaluation at 40
+        # digits of the exact channel output, its root taken per N-block
+        params, ch, _ = PRESETS["fig5a"].build(1.0, None)
+        rho = apply_channel_density(density_from_vector(cat_state(params)), ch)
+        assert rho.cutoff.dim1 == 41
+        w, var, skew = SkewEvaluator(rho).values(PhasePoint.from_quadratures(-4.0, 0, 0, 0))
+        assert abs(var + w * w - skew - 0.0034458095626968659) < 1e-13
 
     def test_dominated_by_variance(self):
         out = apply_channel_density(

@@ -148,13 +148,11 @@ class TestEvaluateGrid:
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
 
-    def test_displacement_built_once_per_node_and_axis_value(self, monkeypatch):
+    def test_displacement_built_once_per_axis_value(self, monkeypatch):
         # the recurrence runs once per distinct modulus |gamma|: a noisy 21x21
-        # sweep needs the 78 distinct moduli of the 24^2 Kraus nodes and the
-        # 18 distinct moduli of the 21 alphas and of the 21 betas (linspace is
-        # not exactly symmetric), each exactly once; the kernel factors pass
-        # their moduli, the Kraus nodes their amplitudes
-        import spincat.channel
+        # sweep needs the 18 distinct moduli of the 21 alphas and of the 21
+        # betas (linspace is not exactly symmetric), each exactly once; the
+        # channel builds no displacement matrix
         import spincat.fockspace
 
         original = spincat.fockspace.displacement_matrix
@@ -172,14 +170,12 @@ class TestEvaluateGrid:
             return math.log(x)
 
         monkeypatch.setattr(spincat.fockspace, "displacement_matrix", counting)
-        monkeypatch.setattr(spincat.channel, "displacement_matrix", counting)
         # every nonzero modulus entering the recurrence takes its log once
         monkeypatch.setattr(spincat.fockspace, "log", counting_log)
-        monkeypatch.setattr(spincat.channel, "_SUPEROP_CACHE", {})
         grid = GridSpec(axes=(("q1", -2.0, 2.0, 21), ("q2", -2.0, 2.0, 21)))
         evaluate_grid(HALF_CAT, grid, channel=ChannelParams(1.0))
-        assert len(passed) == 24 * 24 + 18 + 18
-        assert len(built) == 78 + 18 + 18
+        assert len(passed) == 18 + 18
+        assert len(built) == 18 + 18
         assert len(set(built)) == len(built)  # no (modulus, columns) built twice
         assert sorted(logs) == sorted(r for r, _ in built if r > 0)
 

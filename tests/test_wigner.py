@@ -249,19 +249,6 @@ class TestKernelTrace:
         assert small == pytest.approx(big, abs=1e-12)
 
 
-class TestWignerGrid:
-    def test_delegates_to_sweep_engine(self):
-        from spincat.grids import GridSpec
-        from spincat.wigner import wigner_grid
-
-        res = wigner_grid(HALF_CAT, GridSpec(axes=(("q1", -1.0, 1.0, 3),)))
-        assert len(res.records) == 3
-        pt = PhasePoint.from_quadratures(-1.0, 0, 0, 0)
-        assert res.column("W")[0] == pytest.approx(
-            wigner_closed_half(HALF_CAT, pt), abs=1e-12
-        )
-
-
 class TestGaussianForm:
     def test_positive_quadrant_dominates(self):
         # the Gaussian-branch surface peaks where the branch indices sit, in
