@@ -23,7 +23,6 @@ from .fockspace import (
     TruncationWarning,
     TwoModeOperator,
     adequate_n_max,
-    default_n_max,
     displaced_parity_kernel,
     displacement_matrix,
     hermitian_sqrt,
@@ -75,7 +74,7 @@ __all__ = [
     "ChannelParams", "apply_channel_density", "channel_wigner_convolution",
     "channel_wigner_quadrature", "gaussian_measure_nodes",
     "DensityMatrix", "FockCutoff", "TruncationWarning", "TwoModeOperator",
-    "adequate_n_max", "default_n_max", "displaced_parity_kernel",
+    "adequate_n_max", "displaced_parity_kernel",
     "displacement_matrix", "hermitian_sqrt", "parity_matrix",
     "single_mode_kernel", "smoothed_kernel_element",
     "GridSpec", "SweepResult",

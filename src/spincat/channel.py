@@ -13,11 +13,14 @@ Three routes to the post-channel Wigner function are provided and must agree:
   W'(alpha, beta) = integral W(alpha - z, beta) dmu_s(z) in closed form:
   for the exact kernel mean this is the Gaussian-smoothed kernel element
   (fockspace.smoothed_kernel_element); for the Gaussian-branch form each term
-  integrates by completing the square.
+  integrates by completing the square.  Both are the batched evaluators of
+  wigner, called once with noise = s.
 
 * ``channel_wigner_quadrature`` integrates the same convolution numerically
-  at order QUADRATURE_ORDER, existing purely as the independent oracle for
-  the analytic route.
+  at order QUADRATURE_ORDER, one batched call over all nodes, existing purely
+  as the independent oracle for the analytic route.
+
+Both Wigner routes take the form and its checks from wigner._form.
 
 Quadrature scaling: the raw substitution z = sqrt(s) u makes Gauss-Hermite
 agonizingly slow for s >~ 1 because the integrand's own Gaussian envelope is
@@ -38,15 +41,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .fockspace import DensityMatrix, FockCutoff, _lgamma_prefix
 from .states import CatParams
-from .wigner import (
-    PhasePoint,
-    WignerConvention,
-    _as_real,
-    _closed_kernel_mean,
-    _gaussian_form,
-    _require_interior_theta,
-)
-from .states import cat_norm_general, spin_coherent_amplitudes
+from .wigner import PhasePoint, WignerConvention, _as_real, _form
 
 __all__ = [
     "ChannelParams",
@@ -194,44 +189,6 @@ def apply_channel_density(rho: DensityMatrix, ch: ChannelParams) -> DensityMatri
     return result
 
 
-def _gaussian_form_convolved(params: CatParams, alpha: complex, beta: complex,
-                             s: float) -> float:
-    """Gaussian-branch form convolved with dmu_s in the mode-1 argument.
-
-    Each (m, n) term's alpha dependence is exp(c0 + c1 a + c2 a* - 2|a|^2)
-    with c1 = 2j + 2m, c2 = 2j + 2n, c0 = -(2j + m + n)^2 / 2; integrating
-    against the Gaussian measure appends s (2a* - c1)(2a - c2) / (2s + 1) to
-    the exponent and divides by 2s + 1.
-    """
-    twoj = params.twoj
-    j = params.j
-    a_amp = spin_coherent_amplitudes(j, params.theta1, params.phi1)
-    a_amp = a_amp + spin_coherent_amplitudes(j, params.theta2, params.phi2)
-    nt = cat_norm_general(params)
-    total = 0.0 + 0.0j
-    for km in range(twoj + 1):
-        for kn in range(twoj + 1):
-            m = km - j
-            n = kn - j
-            big_k = twoj + m + n
-            c1 = big_k + (m - n)
-            c2 = big_k - (m - n)
-            exponent = (
-                -big_k * big_k / 2.0
-                + c1 * alpha
-                + c2 * np.conj(alpha)
-                - 2.0 * abs(alpha) ** 2
-                + s * (2.0 * np.conj(alpha) - c1) * (2.0 * alpha - c2) / (2.0 * s + 1.0)
-            )
-            e1 = np.exp(exponent) / (2.0 * s + 1.0)
-            e2 = np.exp(
-                -abs(twoj - 2 * beta - m - n) ** 2 / 2.0
-                + (beta - np.conj(beta)) * (n - m)
-            )
-            total += np.conj(a_amp[km]) * a_amp[kn] * e1 * e2
-    return nt**2 * _as_real(total, "convolved Gaussian-form value")
-
-
 def channel_wigner_convolution(params: CatParams, ch: ChannelParams, point: PhasePoint,
                                conv: WignerConvention = WignerConvention.KERNEL_MEAN,
                                form: str = "closed") -> float:
@@ -243,36 +200,17 @@ def channel_wigner_convolution(params: CatParams, ch: ChannelParams, point: Phas
     a batch of points (point.alpha and point.beta arrays) and then return an
     array; the grid engine evaluates a whole noisy sweep in one call.
     """
-    if form == "closed":
-        if params.twoj > 1:
-            _require_interior_theta(params)
-        w = _closed_kernel_mean(params, point.alpha, point.beta, noise=ch.s)
-        return conv.factor * _as_real(w, "convolved closed-form value")
-    if form == "gaussian":
-        if params.twoj > 1:
-            _require_interior_theta(params)
-        return conv.factor * _gaussian_form_convolved(params, point.alpha, point.beta, ch.s)
-    raise ValueError(f"unknown form {form!r}; expected 'closed' or 'gaussian'")
+    w = _form(params, form)(params, point.alpha, point.beta, noise=ch.s)
+    return conv.factor * _as_real(w, f"convolved {form}-form value")
 
 
 def channel_wigner_quadrature(params: CatParams, ch: ChannelParams, point: PhasePoint,
                               conv: WignerConvention = WignerConvention.KERNEL_MEAN,
                               form: str = "closed") -> float:
     """Post-channel Wigner value by numerical integration of
-    integral W(alpha - z, beta) dmu_s(z); the oracle for the analytic route."""
+    integral W(alpha - z, beta) dmu_s(z); the oracle for the analytic route.
+    All nodes of one point go through one batched call of the form."""
+    f = _form(params, form)
     zs, ws = gaussian_measure_nodes(ch.s, QUADRATURE_ORDER, envelope=2.0)
-    if form == "closed":
-        if params.twoj > 1:
-            _require_interior_theta(params)
-        vals = np.array(
-            [_closed_kernel_mean(params, point.alpha - z, point.beta) for z in zs]
-        )
-    elif form == "gaussian":
-        if params.twoj > 1:
-            _require_interior_theta(params)
-        vals = np.array(
-            [_gaussian_form(params, point.alpha - z, point.beta) for z in zs]
-        )
-    else:
-        raise ValueError(f"unknown form {form!r}; expected 'closed' or 'gaussian'")
+    vals = f(params, point.alpha - zs, point.beta)
     return conv.factor * _as_real(complex(np.dot(ws, vals)), "quadrature Wigner value")

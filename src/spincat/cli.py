@@ -152,8 +152,8 @@ def main(argv: list[str] | None = None) -> int:
             failed = [r for r in results if not r.passed]
             print(f"{len(results) - len(failed)}/{len(results)} checks passed")
             return VIOLATION_EXIT if failed else 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_EXIT
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,6 @@ __all__ = [
     "displaced_parity_kernel",
     "hermitian_sqrt",
     "adequate_n_max",
-    "default_n_max",
     "displacement_column_defect",
 ]
 
@@ -102,18 +101,6 @@ class FockCutoff:
         """Dicke states of spin j need levels up to 2j in both modes."""
         twoj = int(round(2 * j))
         return self.n1_max >= twoj and self.n2_max >= twoj
-
-
-def default_n_max(j: float, max_abs_alpha: float = 0.0) -> int:
-    """Default truncation: resolves the state shell and moderate displacements.
-
-    max(2*ceil(2j) + 10, ceil(4*|alpha|^2) + 15).  This is plotting-grade; for
-    tolerances at the 1e-8 level use :func:`adequate_n_max`, which accounts for
-    the slow Fock tails of displaced number states.
-    """
-    shell = 2 * int(np.ceil(2 * j)) + 10
-    disp = int(np.ceil(4.0 * max_abs_alpha**2)) + 15
-    return max(shell, disp)
 
 
 def adequate_n_max(x: float, q_max: int, margin: float = 5.0) -> int:

@@ -12,15 +12,15 @@ it stays below 1.  With the "gaussian" evaluator, W comes from the
 Gaussian-branch surrogate while I still belongs to the true state, so the
 budget column is diagnostic only.
 
-The grid is evaluated in batches, not point by point: the closed form
-(wigner._closed_kernel_mean; behind the channel, channel_wigner_convolution
-on the whole batch) and the skew engine (skewinfo.SkewEvaluator.grid) build
-their single-mode factors once per distinct alpha and per distinct beta, then
-evaluate all points of one alpha together.  The skew engine's kernel columns
-come from real displacement recurrences, one per distinct modulus, in chunks
+The grid is evaluated in batches, never point by point: the closed form
+(wigner._closed_kernel_mean), the Gaussian-branch surrogate
+(wigner._gaussian_form), both behind the channel through one
+channel_wigner_convolution call on the whole batch, and the skew engine
+(skewinfo.SkewEvaluator.grid) build their single-mode factors once per
+distinct alpha and per distinct beta.  The skew engine's kernel columns come
+from real displacement recurrences, one per distinct modulus, in chunks
 bounded by skewinfo.CHUNK_BYTES; the channel's closed-form Kraus maps need
-none.  Only the noiseless "gaussian" surrogate is still evaluated point by
-point.
+none.
 
 CSV output is bit-deterministic on one machine at one BLAS thread count (a
 different thread count can change the last bit of I): a single
@@ -57,9 +57,8 @@ from .wigner import (
     WignerConvention,
     _as_real,
     _closed_kernel_mean,
+    _gaussian_form,
     _require_interior_theta,
-    wigner_gaussian_general,
-    wigner_gaussian_half,
 )
 
 __all__ = [
@@ -120,8 +119,8 @@ def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
         w = channel_wigner_convolution(params, channel, PhasePoint(alphas, betas), conv,
                                        form=evaluator)
     else:
-        gaussian = wigner_gaussian_half if params.twoj == 1 else wigner_gaussian_general
-        w = np.array([gaussian(params, PhasePoint(a, b), conv) for a, b in zip(alphas, betas)])
+        w = conv.factor * _as_real(_gaussian_form(params, alphas, betas),
+                                   "Gaussian-form Wigner value")
 
     records = np.column_stack([coords, w, w**2, skew, skew + w**2])
     meta = {

@@ -283,8 +283,8 @@ def check_wigner_realness(rng):
     for _ in range(20):
         params = _rand_params(rng)
         pt = _rand_point(rng)
-        worst = max(worst, abs(_closed_kernel_mean(params, pt.alpha, pt.beta).imag))
-        _gaussian_form(params, pt.alpha, pt.beta)  # raises above 1e-10 residue
+        worst = max(worst, abs(_closed_kernel_mean(params, pt.alpha, pt.beta).imag),
+                    abs(_gaussian_form(params, pt.alpha, pt.beta).imag))
     assert worst < 1e-10, f"imaginary residue {worst:.3e}"
     return f"imaginary residue of the evaluators <= {worst:.1e}"
 

@@ -1,22 +1,30 @@
 """Wigner functions of spin-j cat states, three ways.
 
-* ``wigner_closed_half`` / ``wigner_closed_general`` - closed forms of the
-  kernel mean Tr[rho Delta(alpha, beta)], built from exact displaced-parity
-  matrix elements on the 2j shell.  These agree with the brute-force kernel
-  trace to rounding and obey |W| <= 1.
+* closed forms of the kernel mean Tr[rho Delta(alpha, beta)], built from
+  exact displaced-parity matrix elements on the 2j shell.  They agree with
+  the brute-force kernel trace to rounding and obey |W| <= 1.  The batched
+  ``_closed_kernel_mean`` is the production evaluator;
+  ``wigner_closed_general`` wraps it for one point, and the spin-1/2 formula
+  ``wigner_closed_half`` stays as an oracle.
 
 * ``wigner_kernel_trace`` - the brute-force route: contract a density matrix
   against explicitly constructed kernel matrices.  Serves as the oracle for
   everything else.
 
-* ``wigner_gaussian_half`` / ``wigner_gaussian_general`` - a closed form in
-  which each Dicke component |n> enters as if it were a coherent state of
-  amplitude n, so every term is a pure Gaussian in phase space.  This
-  surrogate is useful for shape-level studies (its peaks track the shell
-  structure) but it is NOT the kernel mean: for any single-shell state the
-  true kernel mean is an even function of (alpha, beta) while the Gaussian
-  form is not, so no constant rescaling can reconcile them.  Use
-  ``reconcile_gaussian_form`` to quantify the mismatch on a grid.
+* the Gaussian-branch surrogate, a closed form in which each Dicke component
+  |n> enters as if it were a coherent state of amplitude n, so every term is
+  a pure Gaussian in phase space.  The batched ``_gaussian_form`` is its one
+  evaluator, with or without the mode-1 noise convolution;
+  ``wigner_gaussian_general`` wraps it for one point, and the spin-1/2
+  formula ``wigner_gaussian_half`` stays as an oracle.  This surrogate is
+  useful for shape-level studies (its peaks track the shell structure) but
+  it is NOT the kernel mean: for any single-shell state the true kernel mean
+  is an even function of (alpha, beta) while the Gaussian form is not, so no
+  constant rescaling can reconcile them.  Use ``reconcile_gaussian_form`` to
+  quantify the mismatch on a grid.
+
+``_form`` picks one of the two batched evaluators by name ("closed" or
+"gaussian") after the checks the channel routes share.
 
 Two output conventions: KERNEL_MEAN returns the dimensionless expectation
 Tr[rho Delta] (bounded by 1); DENSITY multiplies by 1/pi^2, normalizing the
@@ -37,7 +45,7 @@ from .fockspace import (
     warn_if_truncated,
 )
 from .grids import axis_groups
-from .states import CatParams, cat_shell_amplitudes, spin_coherent_amplitudes
+from .states import CatParams, cat_shell_amplitudes
 
 __all__ = [
     "PhasePoint",
@@ -197,36 +205,38 @@ def wigner_closed_general(params: CatParams, point: PhasePoint,
 # Gaussian-branch surrogate forms
 # ---------------------------------------------------------------------------
 
-def _gaussian_form(params: CatParams, alpha: complex, beta: complex) -> float:
-    """Double sum over (m, n) of Gaussian terms centred on the Dicke indices.
+def _gaussian_form(params: CatParams, alpha, beta, noise: float = 0.0) -> np.ndarray:
+    """Gaussian-branch surrogate at the points (alpha[i], beta[i]) (they
+    broadcast; 0-d for one point), with mode 1 convolved with the Gaussian
+    measure of variance s = ``noise`` (s = 0: no convolution).
 
-    Term (m, n) carries exp(-|2j - 2 alpha + m + n|^2 / 2 + (alpha - alpha*)(m - n))
-    and the mirrored beta factor; the (n, m) term is its conjugate, so the sum
-    is real.  Accumulated with pairwise numpy summation after log-space
-    amplitude construction, which is adequate up to j ~ 50.
+    A double sum over the Dicke indices m (of the conjugated amplitude) and n
+    in {-j, ..., j}: term (m, n) carries
+    exp(-|2j - 2 alpha + m + n|^2 / 2 + (alpha - alpha*)(m - n)) and the
+    mirrored beta factor; the (n, m) term is its conjugate, so the sum is
+    real.  In alpha the exponent is c0 + c1 alpha + c2 alpha* - 2|alpha|^2
+    with c1 = 2j + 2m, c2 = 2j + 2n, so the convolution appends
+    s (2 alpha* - c1)(2 alpha - c2) / (2s + 1) to it and divides the term by
+    2s + 1.  The factors are built once per distinct alpha and per distinct
+    beta, and one einsum sums the terms for every (alpha, beta) pair: as
+    many values as points on a grid, n^2 for n points off any grid.
     """
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=complex),
+                                      np.asarray(beta, dtype=complex))
+    a, a_idx = np.unique(alpha.ravel(), return_inverse=True)
+    b, b_idx = np.unique(beta.ravel(), return_inverse=True)
     twoj = params.twoj
-    j = params.j
-    a = spin_coherent_amplitudes(j, params.theta1, params.phi1) + spin_coherent_amplitudes(
-        j, params.theta2, params.phi2
-    )
-    from .states import cat_norm_general
-
-    nt = cat_norm_general(params)
-    km = np.arange(twoj + 1)
-    m = km - j
-    # alpha factor for every (m, n) pair; mm indexes the conjugated amplitude
-    mm, nn = np.meshgrid(m, m, indexing="ij")
+    m = np.arange(twoj + 1)[:, None, None] - params.j
+    n = m.transpose(1, 0, 2)
     e1 = np.exp(
-        -np.abs(twoj - 2 * alpha + mm + nn) ** 2 / 2
-        + (alpha - np.conj(alpha)) * (mm - nn)
-    )
-    e2 = np.exp(
-        -np.abs(twoj - 2 * beta - mm - nn) ** 2 / 2
-        + (beta - np.conj(beta)) * (nn - mm)
-    )
-    total = np.einsum("m,n,mn,mn->", a.conj(), a, e1, e2)
-    return nt**2 * _as_real(total, "Gaussian-form Wigner value")
+        -np.abs(twoj - 2 * a + m + n) ** 2 / 2
+        + (a - a.conj()) * (m - n)
+        + noise * (2 * a.conj() - twoj - 2 * m) * (2 * a - twoj - 2 * n) / (2 * noise + 1)
+    ) / (2 * noise + 1)
+    e2 = np.exp(-np.abs(twoj - 2 * b - m - n) ** 2 / 2 + (b - b.conj()) * (n - m))
+    c = cat_shell_amplitudes(params)
+    pairs = np.einsum("m,n,mnx,mny->xy", c.conj(), c, e1, e2)
+    return pairs[a_idx, b_idx].reshape(alpha.shape)
 
 
 def wigner_gaussian_half(params: CatParams, point: PhasePoint,
@@ -263,7 +273,24 @@ def wigner_gaussian_general(params: CatParams, point: PhasePoint,
                             conv: WignerConvention = WignerConvention.KERNEL_MEAN) -> float:
     """Gaussian-branch form for a general spin-j cat (theta inside ]0, pi[)."""
     _require_interior_theta(params)
-    return conv.factor * _gaussian_form(params, point.alpha, point.beta)
+    w = _gaussian_form(params, point.alpha, point.beta)
+    return conv.factor * _as_real(w, "Gaussian-form Wigner value")
+
+
+def _form(params: CatParams, form: str):
+    """The batched evaluator of ``form``: _closed_kernel_mean for "closed",
+    _gaussian_form for "gaussian"; both take (params, alpha, beta, noise).
+
+    The one check of ``form`` and of theta for the channel routes: an unknown
+    form raises ValueError, and so does a boundary theta once 2j > 1.  The
+    function is looked up by its module-global name at each call, so a
+    wrapper set in this module's namespace is the one returned.
+    """
+    if form not in ("closed", "gaussian"):
+        raise ValueError(f"unknown form {form!r}; expected 'closed' or 'gaussian'")
+    if params.twoj > 1:
+        _require_interior_theta(params)
+    return _closed_kernel_mean if form == "closed" else _gaussian_form
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +340,10 @@ def reconcile_gaussian_form(params: CatParams, points: list[PhasePoint],
     even under (alpha, beta) -> -(alpha, beta); the Gaussian form is not) and
     the report then documents the mismatch rather than hiding it.
     """
-    if params.twoj == 1:
-        exact = np.array([wigner_closed_half(params, pt) for pt in points])
-        gauss = np.array([wigner_gaussian_half(params, pt) for pt in points])
-    else:
-        exact = np.array([wigner_closed_general(params, pt) for pt in points])
-        gauss = np.array([wigner_gaussian_general(params, pt) for pt in points])
+    alphas = np.array([pt.alpha for pt in points], dtype=complex)
+    betas = np.array([pt.beta for pt in points], dtype=complex)
+    exact, gauss = (_as_real(_form(params, form)(params, alphas, betas), f"{form}-form value")
+                    for form in ("closed", "gaussian"))
     denom = float(gauss @ gauss)
     scale = float(gauss @ exact) / denom if denom > 0 else 0.0
     residual = np.abs(scale * gauss - exact)

@@ -3,6 +3,7 @@ import pytest
 
 import spincat.channel as channel_mod
 from spincat.channel import (
+    QUADRATURE_ORDER,
     ChannelParams,
     apply_channel_density,
     channel_wigner_convolution,
@@ -11,9 +12,22 @@ from spincat.channel import (
     required_mode1_growth,
 )
 from spincat.fockspace import FockCutoff, displacement_matrix
-from spincat.states import CatParams, cat_state, density_from_vector
+from spincat.states import (
+    CatParams,
+    cat_norm_general,
+    cat_state,
+    density_from_vector,
+    spin_coherent_amplitudes,
+)
 from spincat.sweep import PRESETS
-from spincat.wigner import PhasePoint, wigner_closed_half, wigner_gaussian_general, wigner_kernel_trace
+from spincat.wigner import (
+    PhasePoint,
+    _closed_kernel_mean,
+    _gaussian_form,
+    wigner_closed_half,
+    wigner_gaussian_general,
+    wigner_kernel_trace,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -217,10 +231,17 @@ class TestWignerRoutes:
                 wigner_gaussian_general(p, pt), abs=1e-5
             )
 
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            channel_wigner_convolution(HALF_CAT, ChannelParams(1.0), PhasePoint(0j, 0j),
-                                       form="nope")
+    @pytest.mark.parametrize("route", [channel_wigner_convolution, channel_wigner_quadrature])
+    def test_unknown_form_rejected(self, route):
+        with pytest.raises(ValueError, match="unknown form"):
+            route(HALF_CAT, ChannelParams(1.0), PhasePoint(0j, 0j), form="nope")
+
+    @pytest.mark.parametrize("route", [channel_wigner_convolution, channel_wigner_quadrature])
+    @pytest.mark.parametrize("form", ["closed", "gaussian"])
+    def test_boundary_theta_rejected_above_spin_half(self, route, form):
+        p = CatParams(1.0, np.pi, 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="boundary"):
+            route(p, ChannelParams(1.0), PhasePoint(0j, 0j), form=form)
 
     def test_flattening_monotone_in_noise(self):
         qs = np.linspace(-4, 4, 21)
@@ -247,3 +268,64 @@ class TestWignerRoutes:
             w, _, skew = engine.values(random_point())
             assert skew + w * w <= 1.0 + 1e-8
             assert skew + w * w < 1.0 - 1e-6
+
+
+def _gaussian_form_convolved_reference(params, alpha, beta, s):
+    """The earlier per-point evaluator of the convolved Gaussian-branch form,
+    kept as the reference for the batched one: each (m, n) term's alpha
+    dependence is exp(c0 + c1 a + c2 a* - 2|a|^2) with c1 = 2j + 2m,
+    c2 = 2j + 2n, c0 = -(2j + m + n)^2 / 2, and the convolution appends
+    s (2a* - c1)(2a - c2) / (2s + 1) to the exponent and divides by 2s + 1."""
+    twoj = params.twoj
+    j = params.j
+    a_amp = spin_coherent_amplitudes(j, params.theta1, params.phi1)
+    a_amp = a_amp + spin_coherent_amplitudes(j, params.theta2, params.phi2)
+    nt = cat_norm_general(params)
+    total = 0.0 + 0.0j
+    for km in range(twoj + 1):
+        for kn in range(twoj + 1):
+            m = km - j
+            n = kn - j
+            big_k = twoj + m + n
+            c1 = big_k + (m - n)
+            c2 = big_k - (m - n)
+            exponent = (
+                -big_k * big_k / 2.0
+                + c1 * alpha
+                + c2 * np.conj(alpha)
+                - 2.0 * abs(alpha) ** 2
+                + s * (2.0 * np.conj(alpha) - c1) * (2.0 * alpha - c2) / (2.0 * s + 1.0)
+            )
+            e1 = np.exp(exponent) / (2.0 * s + 1.0)
+            e2 = np.exp(
+                -abs(twoj - 2 * beta - m - n) ** 2 / 2.0
+                + (beta - np.conj(beta)) * (n - m)
+            )
+            total += np.conj(a_amp[km]) * a_amp[kn] * e1 * e2
+    return nt**2 * total.real
+
+
+class TestBatchedGaussianForm:
+    @pytest.mark.parametrize("twoj", [1, 2, 5, 20])
+    @pytest.mark.parametrize("s", [0.0, 0.1, 1.0, 2.0])
+    def test_matches_per_point_reference(self, twoj, s):
+        rng = np.random.default_rng(twoj * 10 + int(10 * s))
+        params = CatParams(twoj / 2, *rng.uniform(0.05, np.pi - 0.05, 2),
+                           *rng.uniform(0, 2 * np.pi, 2))
+        alphas = rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)
+        betas = rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)
+        batch = _gaussian_form(params, alphas, betas, noise=s)
+        assert batch.shape == (8,)
+        for w, a, b in zip(batch, alphas, betas):
+            assert abs(w - _gaussian_form_convolved_reference(params, a, b, s)) <= 1e-15
+
+    @pytest.mark.parametrize("form, evaluate", [("closed", _closed_kernel_mean),
+                                                ("gaussian", _gaussian_form)])
+    def test_quadrature_equals_per_node_sum(self, form, evaluate):
+        params = CatParams(2.5, np.pi / 3, np.pi / 2, 0.0, 2 * np.pi)
+        ch = ChannelParams(1.0)
+        pt = PhasePoint.from_quadratures(0.7, -0.4, 1.1, 0.3)
+        zs, ws = gaussian_measure_nodes(ch.s, QUADRATURE_ORDER, envelope=2.0)
+        per_node = np.array([evaluate(params, pt.alpha - z, pt.beta) for z in zs])
+        expected = float(np.dot(ws, per_node).real)
+        assert abs(channel_wigner_quadrature(params, ch, pt, form=form) - expected) <= 1e-15

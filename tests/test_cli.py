@@ -88,6 +88,22 @@ class TestPresetCommand:
         meta = json.loads(out.read_text().splitlines()[0][len("# meta: "):])
         assert meta["params"]["j"] == 2.5
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 31.7 GiB for an array", "Unable to allocate 31.7 GiB for an array"),
+        ("", "MemoryError"),
+    ])
+    def test_memory_error_is_usage_error(self, monkeypatch, capsys, message, line):
+        # a failed allocation, as numpy raises for an oversized channel
+        # output (fig3a at s = 1000 asks for 31.7 GiB); nothing large is built
+        import spincat.cli
+
+        def fake_run_preset(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(spincat.cli, "run_preset", fake_run_preset)
+        assert main(["preset", "fig3a", "--channel-s", "1000", "--out", "-"]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("target, fake", [

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -342,6 +343,36 @@ class TestSmoothedKernelElement:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             smoothed_kernel_element(0, 0, 0.1, noise=-1.0)
+
+    @staticmethod
+    def _s_ordered_block(twoj, s, alpha):
+        """Reference shell block K_s = C^H diag((k/2)(1-k)^n) C, k = 2/(2s+1),
+        with C = D(-alpha) on N rows (Cahill & Glauber, Phys. Rev. 177, 1882
+        (1969)); N covers the geometric weights to 1e-17 or the support of
+        the displaced shell, whichever is smaller, and at least the shell."""
+        k = 2.0 / (2.0 * s + 1.0)
+        n_geom = math.ceil(math.log(1e-17) / math.log(abs(1.0 - k))) + 1
+        n_supp = math.ceil((abs(alpha) + math.sqrt(twoj + 1) + 8) ** 2)
+        n = max(twoj + 1, min(n_geom, n_supp))
+        c = displacement_matrix(-alpha, n - 1, twoj + 1)
+        return c.conj().T @ (((k / 2) * (1.0 - k) ** np.arange(n))[:, None] * c)
+
+    def _shell_block_error(self, twoj, s, alpha):
+        block = np.array([[smoothed_kernel_element(p, q, alpha, s) for q in range(twoj + 1)]
+                          for p in range(twoj + 1)])
+        return np.abs(block - self._s_ordered_block(twoj, s, alpha)).max()
+
+    @pytest.mark.parametrize("s", [0.3, 1.0])
+    def test_shell_block_matches_s_ordered_reference(self, s):
+        assert self._shell_block_error(40, s, -2 * math.sqrt(2)) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: for noise s < 0.5 the alternating sum of "
+        "smoothed_kernel_element cancels catastrophically at large 2j (7.8e-4 "
+        "here, 6.0 at 2j = 60), silently, since the noisy path has no audit; "
+        "ROADMAP item 2 replaces the builder and removes this mark"))
+    def test_shell_block_matches_s_ordered_reference_below_half(self):
+        assert self._shell_block_error(40, 0.1, -2 * math.sqrt(2)) <= 1e-10
 
 
 class TestHermitianSqrt:

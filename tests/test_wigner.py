@@ -6,6 +6,7 @@ from spincat.states import CatParams, cat_state, density_from_vector, dicke_vect
 from spincat.wigner import (
     PhasePoint,
     WignerConvention,
+    _gaussian_form,
     reconcile_gaussian_form,
     wigner_closed_general,
     wigner_closed_half,
@@ -297,6 +298,15 @@ class TestGaussianForm:
         # documents the structural mismatch with the kernel mean
         w = wigner_gaussian_half(HALF_CAT, PhasePoint(0j, 0j))
         assert abs(w - (-1.0)) > 0.5
+
+    def test_batched_form_matches_half_formula_at_boundary_theta(self):
+        # HALF_CAT has theta1 = pi, where only the spin-1/2 formula is stated
+        rng = np.random.default_rng(7)
+        alphas = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
+        betas = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
+        batch = _gaussian_form(HALF_CAT, alphas, betas)
+        for w, a, b in zip(batch, alphas, betas):
+            assert abs(w - wigner_gaussian_half(HALF_CAT, PhasePoint(a, b))) <= 1e-15
 
     def test_rejects_boundary_theta_general(self):
         p = CatParams(1.0, np.pi, 0.5, 0.0, 0.0)
