@@ -28,9 +28,11 @@ different thread count can change the last bit of I): a single
 rendered with 17 significant digits.
 
 Both writers work in chunks of CHUNK_ROWS records, with one write call per
-chunk, so their working set does not grow with the grid.  A CSV chunk is one
-'%.17g' template applied to all its values; a JSON chunk is one call of the
-C JSON encoder.  The bytes equal those of per-value writers (f"{v:.17g}", and
+chunk, so their working set does not grow with the grid.  Each distinct value
+of a chunk is rendered once (np.unique): by one '%.17g' template for CSV, by
+one call of the C JSON encoder on the list of distinct values for JSON.  The
+texts are gathered back by np.unique's inverse index into one row template
+per chunk.  The bytes equal those of per-value writers (f"{v:.17g}", and
 json.dump of the whole payload with sorted keys), NaN and +-inf included, and
 both formats write a -0.0 record as 0; the tests keep those writers as the
 reference.
@@ -276,7 +278,11 @@ def run_preset(name: str, j: float | None = None, s: float | None = None,
 # ---------------------------------------------------------------------------
 
 CHUNK_ROWS = 1024
-_CSV_ROW = ",".join(["%.17g"] * len(RECORD_COLUMNS)) + "\n"
+# JSON records carry their fields in sorted-key order, as json.dump(...,
+# sort_keys=True) writes them
+_JSON_COLUMNS = sorted(range(len(RECORD_COLUMNS)), key=RECORD_COLUMNS.__getitem__)
+_CSV_ROW = ",".join(["%s"] * len(RECORD_COLUMNS)) + "\n"
+_JSON_ROW = "{" + ", ".join(f'"{RECORD_COLUMNS[i]}": %s' for i in _JSON_COLUMNS) + "}"
 
 
 @contextmanager
@@ -290,19 +296,37 @@ def _text_stream(target, mode: str):
         yield target
 
 
+def _write_records(f, records: np.ndarray, columns, render: Callable[[list], list],
+                   row: str, sep: str) -> None:
+    """Write ``records`` CHUNK_ROWS at a time, one write per chunk: each chunk's
+    ``columns`` filled into ``row`` and the rows joined by ``sep``.
+
+    Each distinct value of a chunk is rendered once: ``render`` takes the
+    sorted distinct values as floats and returns their texts, which are
+    gathered back into place by np.unique's inverse index."""
+    for lo in range(0, len(records), CHUNK_ROWS):
+        # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
+        chunk = records[lo:lo + CHUNK_ROWS, columns] + 0.0
+        values, inverse = np.unique(chunk, return_inverse=True)
+        texts = np.array(render(values.tolist()), dtype=object)[inverse.ravel()]
+        f.write((sep if lo else "") + sep.join([row] * len(chunk)) % tuple(texts.tolist()))
+
+
+def _csv_texts(values: list) -> list:
+    return (("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+
+
+def _json_texts(values: list) -> list:
+    return json.dumps(values)[1:-1].split(", ")
+
+
 def serialize_csv(result: SweepResult, destination) -> None:
     """Write '# meta: {json}', a fixed header, and one row per record with 17
-    significant digits.  ``destination`` is a path or a text file object.
-
-    Rows are formatted and written CHUNK_ROWS at a time, one write per chunk."""
+    significant digits.  ``destination`` is a path or a text file object."""
     with _text_stream(destination, "w") as f:
         f.write("# meta: " + json.dumps(result.meta, sort_keys=True) + "\n")
         f.write(",".join(RECORD_COLUMNS) + "\n")
-        records = result.records
-        for lo in range(0, len(records), CHUNK_ROWS):
-            # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
-            chunk = records[lo:lo + CHUNK_ROWS] + 0.0
-            f.write((_CSV_ROW * len(chunk)) % tuple(chunk.ravel().tolist()))
+        _write_records(f, result.records, slice(None), _csv_texts, _CSV_ROW, "")
 
 
 def serialize_json(result: SweepResult, destination) -> None:
@@ -311,17 +335,12 @@ def serialize_json(result: SweepResult, destination) -> None:
 
     The bytes are those of json.dump({"meta": ..., "records": [...]}, f,
     sort_keys=True) plus a newline, with -0.0 records written as 0.0 like the
-    CSV's, but each chunk of CHUNK_ROWS records goes
-    through the C encoder (json.dump streams through the pure-Python one) and
-    is written on its own, so the whole document is never held."""
+    CSV's.  No dict is built per record: the C encoder renders each chunk's
+    distinct values (NaN and Infinity included) in one call, and a fixed
+    record template in sorted-key order places them."""
     with _text_stream(destination, "w") as f:
         f.write('{"meta": ' + json.dumps(result.meta, sort_keys=True) + ', "records": [')
-        records = result.records
-        for lo in range(0, len(records), CHUNK_ROWS):
-            # + 0.0 writes -0.0 as 0.0, as the CSV does
-            rows = [dict(zip(RECORD_COLUMNS, row))
-                    for row in (records[lo:lo + CHUNK_ROWS] + 0.0).tolist()]
-            f.write((", " if lo else "") + json.dumps(rows, sort_keys=True)[1:-1])
+        _write_records(f, result.records, _JSON_COLUMNS, _json_texts, _JSON_ROW, ", ")
         f.write("]}\n")
 
 
