@@ -47,6 +47,43 @@ def _reference_json(result) -> str:
     return buf.getvalue() + "\n"
 
 
+def _mixed_result(n_rows) -> SweepResult:
+    """Magnitudes over 40 decades with signed zeros, subnormals, NaN and
+    +-inf sprinkled in; the first record holds every special value."""
+    rng = np.random.default_rng(n_rows)
+    special = np.array([-0.0, 5e-324, 1e16, 0.1, 1 / 3, np.nan, np.inf, -np.inf])
+    records = rng.standard_normal((n_rows, 8)) * 10.0 ** rng.integers(-20, 20, (n_rows, 8))
+    mask = rng.random((n_rows, 8)) < 0.3
+    records[mask] = rng.choice(special, mask.sum())
+    records[0] = special
+    return SweepResult(meta={"z": [1.5, None], "a": {"y": "x", "b": -0.0}}, records=records)
+
+
+def _constant_columns_result() -> SweepResult:
+    """Seven constant columns, -0.0 and a subnormal among them, beside one
+    column that changes from row to row."""
+    records = np.tile([-0.0, 5e-324, 1 / 3, 0.0, 1e16, -2.5, 0.1, 7.0], (16, 1))
+    records[:, 4] = np.linspace(-1.0, 1.0, 16)
+    return SweepResult(meta={}, records=records)
+
+
+def _boundary_repeat_result() -> SweepResult:
+    """One value repeated in both chunks and across the boundary between
+    them (rows 3 to 10 with chunks of 7), among values that differ."""
+    records = np.random.default_rng(3).standard_normal((14, 8))
+    records[3:11, 2] = math.pi
+    records[[0, 13], 5] = math.pi
+    return SweepResult(meta={}, records=records)
+
+
+def _signed_specials_result() -> SweepResult:
+    """0.0, -0.0, nan, -nan, inf and -inf, each several times in one chunk."""
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+    records = special[np.arange(48).reshape(6, 8) % 6]
+    assert np.signbit(records).sum() == 24  # -0.0, -nan and -inf survive construction
+    return SweepResult(meta={}, records=records)
+
+
 class TestGridSpec:
     def test_rejects_no_axes(self):
         with pytest.raises(ValueError):
@@ -208,20 +245,28 @@ class TestSerialization:
         assert "-0.0" not in buf.getvalue()
         assert [math.copysign(1.0, record[name]) for name in ("q1", "W")] == [1.0, 1.0]
 
-    @pytest.mark.parametrize("n_rows, chunk", [
-        (1, 7), (6, 7), (7, 7), (8, 7), (10201, None),
-    ], ids=["one-row", "chunk-1", "chunk", "chunk+1", "fig1-size"])
+    @pytest.mark.parametrize("make, chunk", [
+        (lambda: _mixed_result(1), 7),
+        (lambda: _mixed_result(6), 7),
+        (lambda: _mixed_result(7), 7),
+        (lambda: _mixed_result(8), 7),
+        (lambda: _mixed_result(10201), None),
+        # records full of duplicates: the writers render each distinct value
+        # of a chunk once and gather the texts back into place
+        (lambda: SweepResult(meta={}, records=np.full((9, 8), 0.1)), 7),
+        (_constant_columns_result, 7),
+        (_boundary_repeat_result, 7),
+        (_signed_specials_result, 7),
+        (lambda: run_preset("fig1c"), None),
+        (lambda: run_preset("fig3a"), None),
+    ], ids=["one-row", "chunk-1", "chunk", "chunk+1", "fig1-size", "all-equal",
+            "constant-columns", "repeat-across-boundary", "signed-specials",
+            "fig1c", "fig3a"])
     def test_writers_match_reference_writers_byte_for_byte(self, monkeypatch, tmp_path,
-                                                           n_rows, chunk):
+                                                           make, chunk):
         if chunk is not None:
             monkeypatch.setattr(spincat.sweep, "CHUNK_ROWS", chunk)
-        rng = np.random.default_rng(n_rows)
-        special = np.array([-0.0, 5e-324, 1e16, 0.1, 1 / 3, np.nan, np.inf, -np.inf])
-        records = rng.standard_normal((n_rows, 8)) * 10.0 ** rng.integers(-20, 20, (n_rows, 8))
-        mask = rng.random((n_rows, 8)) < 0.3
-        records[mask] = rng.choice(special, mask.sum())
-        records[0] = special
-        res = SweepResult(meta={"z": [1.5, None], "a": {"y": "x", "b": -0.0}}, records=records)
+        res = make()
         for writer, reference in ((serialize_csv, _reference_csv),
                                   (serialize_json, _reference_json)):
             expected = reference(res)
