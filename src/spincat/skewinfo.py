@@ -4,32 +4,31 @@ The skew information I(rho, Delta) = -1/2 Tr[sqrt(rho), Delta]^2 expands to
 
     I = Tr[rho Delta^2] - Tr[sqrt(rho) Delta sqrt(rho) Delta],
 
-and this form is evaluated literally, with Delta^2 the computed square of the
-truncated kernel rather than the identity it equals in infinite dimension.
-Keeping the computed square makes the chain of inequalities
+and Delta is Hermitian and involutory, so Tr[rho Delta^2] = Tr rho exactly:
+no Fock tail enters it.  With K the block of Delta on rho's support (a
+contraction) and rho = sum_i lam_i |i><i|, the chain
 
-    0 <= I <= Var = Tr[rho Delta^2] - W^2,    I + W^2 <= Tr[rho Delta^2] <= 1
+    0 <= I <= Var = Tr rho - W^2,    I + W^2 <= Tr rho
 
-exact at any truncation (a truncated kernel is a contraction), so the
-symmetry/asymmetry budget I + W^2 can never spuriously exceed 1.  For pure
-states the budget saturates: I + W^2 = 1 up to the neglected Fock tails.
+holds at any truncation:
+    Tr[(sqrt(rho) K)^2] = sum_ij sqrt(lam_i lam_j) |K_ij|^2 <= Tr[rho K^2] <= Tr rho,
+    Tr[(sqrt(rho) K)^2] >= sum_i lam_i K_ii^2 >= W^2 (Cauchy-Schwarz, Tr rho <= 1).
+For pure states the budget saturates: I + W^2 = 1.
 
 Grids are evaluated mode by mode: Delta(alpha, beta) = Delta(alpha) (x)
-Delta(beta), and each distinct alpha (beta) gets its factors once, the kernel
-block k on the state's support and the Gram matrix g = c^H c of its kernel
-columns c (the same block of Delta^2).  With rho[a,b,x,y], S = sqrt(rho):
+Delta(beta), and each distinct alpha (beta) gets its kernel block k on the
+state's support once.  With rho[a,b,x,y], S = sqrt(rho):
 
     W               = sum rho[a,b,x,y] k1[x,a] k2[y,b]
-    Tr[rho Delta^2] = the same sum with g1, g2
     Tr[(S Delta)^2] = sum P[b,d,f,e] k2[d,f] k2[e,b],
         P[b,d,f,e]  = sum_{a,c} A[a,b,d,c] A[c,f,e,a],  A[a,b,d,c] = sum_x S[a,b,x,d] k1[x,c].
 
 The rho and P contractions run once per distinct alpha, in one
 SkewEvaluator.values call for all of that alpha's points.  Since
 Delta(r e^(i phi))[m, n] = e^(i (m-n) phi) Delta(r)[m, n] with Delta(r) real,
-k and g are built once per distinct modulus r, as real k(r) and c(r)^T c(r),
-in chunks whose real column stack fits CHUNK_BYTES; a value's phase pattern
-is applied only when that value is evaluated.
+k is built once per distinct modulus r, as real k(r), in chunks whose real
+blocks fit CHUNK_BYTES; a value's phase pattern is applied only when that
+value is evaluated.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ SKEW_CLAMP = -1e-9
 PURITY_TOL = 1e-10
 AUDIT_TOL = 1e-7
 AUDIT_POINTS = 5
-# working-set budget of one chunk of real kernel columns
+# working-set budget of one chunk of real kernel blocks
 CHUNK_BYTES = 1 << 19
 
 
@@ -79,52 +78,39 @@ class SymmetryRecord:
     budget: float  # skew + w_squared; <= 1 always, = 1 for pure states
 
 
-def _kernel_rows(alpha: complex, block: int) -> int:
-    """Rows of Delta(alpha)'s first ``block`` columns that keep the neglected
-    tail below ~1e-10."""
-    return adequate_n_max(4.0 * abs(alpha) ** 2, block - 1) + 1
-
-
 def _kernel_columns(alpha: complex, block: int) -> np.ndarray:
     """First ``block`` columns of Delta(alpha), rows extended far enough that
     the neglected tail is below ~1e-10."""
-    return single_mode_kernel(alpha, _kernel_rows(alpha, block) - 1, block)
+    return single_mode_kernel(alpha, adequate_n_max(4.0 * abs(alpha) ** 2, block - 1), block)
 
 
-def _value_factors(values, block: int):
-    """(i, k, g) for every values[i]: Delta(v) and Delta(v)^2 on levels < block.
+def _kernel_blocks(values, block: int):
+    """(i, k) for every values[i]: k = Delta(values[i]) on levels < block.
 
-    Moduli go in ascending order (so do their rows), one single_mode_kernel
-    call per chunk; each Gram matrix uses its own modulus' rows.
+    Moduli go in ascending order, one real single_mode_kernel call per chunk
+    of them whose blocks fit CHUNK_BYTES; a value's phases are applied as it
+    is yielded.
     """
     members = {}  # modulus: [(index, phase)], without numpy's float sort
     for i, v in enumerate(np.ravel(values).tolist()):
         members.setdefault(abs(v), []).append((i, atan2(v.imag, v.real)))
     moduli = sorted(members)
-    rows = [_kernel_rows(r, block) for r in moduli]
+    per_chunk = max(1, CHUNK_BYTES // (block * block * 8))
     levels = np.arange(block)
-    lo = 0
-    while lo < len(moduli):
-        hi = lo + 1
-        while hi < len(moduli) and (hi + 1 - lo) * rows[hi] * block * 8 <= CHUNK_BYTES:
-            hi += 1
-        cols = single_mode_kernel(np.array(moduli[lo:hi]), rows[hi - 1] - 1, block)
-        factors = [(c[:block].copy(), c[:r].T @ c[:r]) for c, r in zip(cols, rows[lo:hi])]
-        del cols  # only the blocks stay while the chunk's values are used
-        for (k, g), r in zip(factors, moduli[lo:hi]):
+    for lo in range(0, len(moduli), per_chunk):
+        chunk = moduli[lo:lo + per_chunk]
+        for k, r in zip(single_mode_kernel(np.array(chunk), block - 1, block), chunk):
             for i, phi in members[r]:
                 u = np.exp(1j * phi * levels)
-                yield i, u[:, None] * k * u.conj(), u[:, None] * g * u.conj()
-        lo = hi
+                yield i, u[:, None] * k * u.conj()
 
 
-def _mode_factors(values, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks k[i], g[i] of the factors of values[i], in fresh arrays."""
-    k = np.empty((len(values), block, block), dtype=complex)
-    g = np.empty_like(k)
-    for i, k_i, g_i in _value_factors(values, block):
-        k[i], g[i] = k_i, g_i
-    return k, g
+def _kernel_stack(values, block: int) -> np.ndarray:
+    """The blocks k[i] of every values[i], stacked in a fresh array."""
+    k = np.empty((np.size(values), block, block), dtype=complex)
+    for i, k_i in _kernel_blocks(values, block):
+        k[i] = k_i
+    return k
 
 
 def pure_point_values(psi: StateVector, point: PhasePoint) -> tuple[float, float]:
@@ -161,6 +147,8 @@ class SkewEvaluator:
         self.d1, self.d2 = d1, d2
         self.block = np.ascontiguousarray(
             rho.as_modes()[:d1, :d2, :d1, :d2].reshape(d1 * d2, d1 * d2))
+        # Tr[rho Delta^2]: Delta^2 = 1, and its block on the support is the identity
+        self.trace = float(self.block.trace().real)
         # rows (b, y), columns (x, a): a product with f.ravel() sums rho[a,b,x,y] f[x,a]
         self._rho_pairs = self.block.reshape(d1, d2, d1, d2).transpose(1, 3, 2, 0).reshape(
             d2 * d2, d1 * d1)
@@ -168,10 +156,10 @@ class SkewEvaluator:
 
     @cached_property
     def _sqrt_rows(self) -> np.ndarray:
-        """sqrt(rho) as S[a,b,x,d] with rows (a, b, d) and column x."""
+        """sqrt(rho) as S[a,b,x,d] with rows (b, d, a) and column x."""
         d1, d2 = self.d1, self.d2
         root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), self.block)).entries
-        return root.reshape(d1, d2, d1, d2).transpose(0, 1, 3, 2).reshape(d1 * d2 * d2, d1)
+        return root.reshape(d1, d2, d1, d2).transpose(1, 3, 0, 2).reshape(d2 * d2 * d1, d1)
 
     def _contract(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
         """sum rho[a,b,x,y] f1[x,a] f2[p][y,b] for every stacked f2[p]."""
@@ -181,59 +169,51 @@ class SkewEvaluator:
     def _square_trace(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
         """Tr[(sqrt(rho) Delta)^2] for every stacked k2[p] at one alpha."""
         d1, d2 = self.d1, self.d2
-        a = (self._sqrt_rows @ k1).reshape(d1, d2, d2, d1)  # A[a,b,d,c]
-        p = a.transpose(1, 2, 0, 3).reshape(d2 * d2, d1 * d1) @ a.transpose(3, 0, 1, 2).reshape(
-            d1 * d1, d2 * d2)
+        a = (self._sqrt_rows @ k1).reshape(d2 * d2, d1, d1)  # A[a,b,d,c] as [(b, d), a, c]
+        # P[(b, d), (f, e)] = sum_{a,c} A[a,b,d,c] A[c,f,e,a]
+        p = a.reshape(d2 * d2, d1 * d1) @ a.transpose(0, 2, 1).reshape(d2 * d2, d1 * d1).T
         return np.einsum("bdfe,pdf,peb->p", p.reshape(d2, d2, d2, d2), k2, k2).real
 
-    def kernel_means(self, alphas, betas) -> np.ndarray:
-        """W = Tr[rho Delta] at the points (alphas[i], betas[i]).
-
-        Needs only the kernel blocks k, which are exact on the support's own
-        levels, so no tail rows and no Gram matrices are built."""
-        alphas, betas = np.ravel(alphas), np.ravel(betas)
+    def _batches(self, alphas, betas):
+        """(at, alpha, k1, k2) per distinct alpha: the indices of its points,
+        its kernel block, and the stacked blocks of those points' betas.  Each
+        distinct beta's block is built once; the alphas' chunk by chunk, so no
+        stack of all alpha blocks is held."""
         b_vals, b_idx = np.unique(betas, return_inverse=True)
-        k2 = single_mode_kernel(b_vals, self.d2 - 1, self.d2)
+        k2 = _kernel_stack(b_vals, self.d2)
         a_vals, groups = axis_groups(alphas)
-        k1 = single_mode_kernel(a_vals, self.d1 - 1, self.d1)
+        for i, k1 in _kernel_blocks(a_vals, self.d1):
+            yield groups[i], a_vals[i], k1, k2[b_idx[groups[i]]]
+
+    def kernel_means(self, alphas, betas) -> np.ndarray:
+        """W = Tr[rho Delta] at the points (alphas[i], betas[i])."""
+        alphas, betas = np.ravel(alphas), np.ravel(betas)
         w = np.empty(alphas.size, dtype=complex)
-        for k, at in zip(k1, groups):
-            w[at] = self._contract(k, k2[b_idx[at]])
+        for at, _, k1, k2 in self._batches(alphas, betas):
+            w[at] = self._contract(k1, k2)
         return _as_real(w, "kernel mean")
 
     def grid(self, alphas, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(W, variance, skew) arrays at the points (alphas[i], betas[i]): one
-        values() call per distinct alpha.  Each distinct beta's factors are
-        built once; the alphas' are built chunk by chunk, so no stack of all
-        alpha factors is held."""
+        values() call per distinct alpha."""
         alphas, betas = np.ravel(alphas), np.ravel(betas)
-        b_vals, b_idx = np.unique(betas, return_inverse=True)
-        k2, g2 = _mode_factors(b_vals, self.d2)
-        a_vals, groups = axis_groups(alphas)
         out = np.empty((3, alphas.size))
-        for i, k, g in _value_factors(a_vals, self.d1):
-            at = groups[i]
-            point = PhasePoint(a_vals[i], betas[at])
-            out[:, at] = self.values(point, (k2[b_idx[at]], g2[b_idx[at]]), (k, g))
+        self._sqrt_rows  # the root's eigh before, not beside, a chunk of alpha blocks
+        for at, alpha, k1, k2 in self._batches(alphas, betas):
+            out[:, at] = self.values(PhasePoint(alpha, betas[at]), k2, k1)
         return out[0], out[1], out[2]
 
-    def values(self, point: PhasePoint, mode2: tuple[np.ndarray, np.ndarray] | None = None,
-               mode1: tuple[np.ndarray, np.ndarray] | None = None):
+    def values(self, point: PhasePoint, mode2: np.ndarray | None = None,
+               mode1: np.ndarray | None = None):
         """(W, variance, skew) at one phase point, as floats; as arrays for a
-        batch that shares one alpha (point.beta a 1-d array).  ``mode2`` =
-        (k2, g2) passes in the stacked mode-2 factors of point.beta and
-        ``mode1`` = (k1, g1) the factors of point.alpha, which grid() builds
-        in chunks, once per distinct value."""
+        batch that shares one alpha (point.beta a 1-d array).  ``mode2``
+        passes in the stacked kernel blocks of point.beta and ``mode1`` the
+        block of point.alpha, as grid() builds them."""
         single = np.ndim(point.beta) == 0
-        k2, g2 = mode2 if mode2 is not None else _mode_factors(np.ravel(point.beta), self.d2)
-        if mode1 is None:
-            (k1,), (g1,) = _mode_factors(np.ravel(point.alpha), self.d1)
-        else:
-            k1, g1 = mode1
+        k2 = _kernel_stack(point.beta, self.d2) if mode2 is None else mode2
+        k1 = _kernel_stack(point.alpha, self.d1)[0] if mode1 is None else mode1
         w = _as_real(self._contract(k1, k2), "kernel mean")
-        # Tr[rho Delta^2]: the block of Delta^2 is the column Gram matrix
-        t1 = self._contract(g1, g2).real
-        skew = t1 - self._square_trace(k1, k2)
+        skew = self.trace - self._square_trace(k1, k2)
         if skew.min() < SKEW_CLAMP:
             raise ArithmeticError(
                 f"skew information {skew.min():.3e} below clamp threshold; increase "
@@ -242,18 +222,17 @@ class SkewEvaluator:
         negative = skew < 0.0
         self.clamped_points += int(negative.sum())
         skew[negative] = 0.0
-        var = t1 - w * w
+        var = self.trace - w * w
         if single:
             return float(w[0]), float(var[0]), float(skew[0])
         return w, var, skew
 
 
 def parity_variance(rho: DensityMatrix, point: PhasePoint) -> float:
-    """Var(rho, Delta) = Tr[rho Delta^2] - W^2.
+    """Var(rho, Delta) = Tr rho - W^2, since Delta^2 = 1.
 
-    Equals 1 - W^2 up to the truncation tail, since Delta^2 = 1 on the
-    untruncated space.  Computed by SkewEvaluator.values, so it raises where
-    that does: for an unphysical state or a skew below the clamp threshold.
+    Computed by SkewEvaluator.values, so it raises where that does: for an
+    unphysical state or a skew below the clamp threshold.
     """
     return SkewEvaluator(rho).values(point)[1]
 
@@ -269,9 +248,9 @@ def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False,
     """One SymmetryRecord per grid point, row-major over the grid axes.
 
     With ``pure_hint`` the skew column is the fast path 1 - W^2, spot-audited
-    against the commutator definition at 5 random grid points (tolerance
-    1e-7); an audit failure aborts, since it means the state was not actually
-    pure or the truncation is inadequate.
+    at 5 random grid points (tolerance 1e-7) against pure_point_values on
+    rho's leading eigenvector; an audit failure aborts, since it means the
+    state was not actually pure or the truncation is inadequate.
     """
     alphas, betas = grid.amplitudes()
     engine = SkewEvaluator(rho)
@@ -281,14 +260,16 @@ def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False,
             raise ValueError(f"pure_hint set but purity is {purity}; state is not pure")
         w = engine.kernel_means(alphas, betas)
         skew, budget = 1.0 - w * w, np.ones_like(w)
+        psi = StateVector(FockCutoff(engine.d1 - 1, engine.d2 - 1),
+                          np.linalg.eigh(engine.block)[1][:, -1])
         rng = np.random.default_rng(seed)
-        audit = rng.choice(len(w), size=min(AUDIT_POINTS, len(w)), replace=False)
-        _, _, reference = engine.grid(alphas[audit], betas[audit])
-        for i, ref in zip(audit, reference):
-            if abs(ref - skew[i]) > AUDIT_TOL:
+        for i in rng.choice(len(w), size=min(AUDIT_POINTS, len(w)), replace=False):
+            point = PhasePoint(alphas[i], betas[i])
+            _, reference = pure_point_values(psi, point)
+            if abs(reference - skew[i]) > AUDIT_TOL:
                 raise ArithmeticError(
-                    f"pure-path audit failed at {PhasePoint(alphas[i], betas[i])}: "
-                    f"fast skew {skew[i]} vs commutator {ref}"
+                    f"pure-path audit failed at {point}: "
+                    f"fast skew {skew[i]} vs commutator {reference}"
                 )
     else:
         w, _, skew = engine.grid(alphas, betas)

@@ -17,10 +17,10 @@ The grid is evaluated in batches, never point by point: the closed form
 (wigner._gaussian_form), both behind the channel through one
 channel_wigner_convolution call on the whole batch, and the skew engine
 (skewinfo.SkewEvaluator.grid) build their single-mode factors once per
-distinct alpha and per distinct beta.  The skew engine's kernel columns come
-from real displacement recurrences, one per distinct modulus, in chunks
-bounded by skewinfo.CHUNK_BYTES; the channel's closed-form Kraus maps need
-none.
+distinct alpha and per distinct beta.  The skew engine's kernel blocks on
+the state's support come from real displacement recurrences, one per distinct
+modulus, in chunks whose real blocks fit skewinfo.CHUNK_BYTES; the channel's
+closed-form Kraus maps need none.
 
 CSV output is bit-deterministic on one machine at one BLAS thread count (a
 different thread count can change the last bit of I): a single

@@ -141,19 +141,18 @@ class TestDisplacementStack:
             assert np.array_equal(matrix, displacement_matrix(gamma, n_max, ncols))
 
     def test_chunk_boundaries_do_not_change_entries(self, monkeypatch):
-        # the kernel factors are built in chunks of distinct moduli whose real
-        # column stack fits skewinfo.CHUNK_BYTES; the amplitudes repeat moduli
+        # the kernel blocks are built in chunks of distinct moduli whose real
+        # blocks fit skewinfo.CHUNK_BYTES; the amplitudes repeat moduli
         import spincat.skewinfo
-        from spincat.skewinfo import _kernel_rows, _mode_factors
+        from spincat.skewinfo import _kernel_stack
 
         values = self.AMPLITUDES / 2
-        whole = _mode_factors(values, 4)
-        rows = _kernel_rows(values[3], 4)
-        # one modulus per chunk, and two of the largest
-        for budget in (1, 2 * rows * 4 * 8):
+        whole = _kernel_stack(values, 4)
+        assert np.array_equal(whole, single_mode_kernel(values, 3, 4))
+        # one modulus per chunk, and two
+        for budget in (1, 2 * 4 * 4 * 8):
             monkeypatch.setattr(spincat.skewinfo, "CHUNK_BYTES", budget)
-            for part, reference in zip(_mode_factors(values, 4), whole):
-                assert np.array_equal(part, reference)
+            assert np.array_equal(_kernel_stack(values, 4), whole)
 
     def test_kernel_stack_equals_per_amplitude_calls(self):
         stack = single_mode_kernel(self.AMPLITUDES / 2, 60, 2)

@@ -181,14 +181,59 @@ class TestGridEngine:
                                                                      abs=1e-15)
 
     def test_factor_stacks_hold_no_views_of_kernel_columns(self):
-        from spincat.skewinfo import _mode_factors
+        from spincat.skewinfo import _kernel_blocks, _kernel_stack
 
         values = np.array([0.0, 0.7, -1.3 + 0.2j, 3.0j])
-        k, g = _mode_factors(values, 4)
-        for stack in (k, g):
-            assert stack.base is None
-            assert stack.shape == (4, 4, 4)
-            assert stack.nbytes == 4 * 4 * 4 * 16
+        k = _kernel_stack(values, 4)
+        assert k.base is None
+        assert k.shape == (4, 4, 4)
+        assert k.nbytes == 4 * 4 * 4 * 16
+        for _, block in _kernel_blocks(values, 4):
+            assert block.base is None
+
+    def test_kernel_means_equal_grid_w(self):
+        # kernel_means and grid take their blocks from one builder
+        rho = apply_channel_density(density_from_vector(cat_state(HALF_CAT)),
+                                    ChannelParams(1.0))
+        engine = SkewEvaluator(rho)
+        alphas = np.array([0.3 + 0.1j, -0.8j, 1.1, -0.8j, -0.4])
+        betas = np.array([0.2, -0.5 + 0.4j, 0.2, 0.0, -1.0])
+        assert np.array_equal(engine.kernel_means(alphas, betas), engine.grid(alphas, betas)[0])
+
+    @pytest.mark.parametrize("preset", ["fig5a", "fig5g"])
+    def test_noisy_budget_stays_within_trace(self, preset):
+        # I + W^2 <= Tr rho holds exactly (see the module docstring), so only
+        # rounding may push the budget past the trace
+        params, channel, grid = PRESETS[preset].build(1.0, None)
+        rho = apply_channel_density(density_from_vector(cat_state(params)), channel)
+        w, _, skew = SkewEvaluator(rho).grid(*grid.amplitudes())
+        assert (skew + w * w).max() <= rho.entries.trace().real + 1e-15
+
+    @pytest.mark.parametrize("preset, j", [("fig3a", None), ("fig5a", 1.0), ("fig5g", 1.0),
+                                           ("fig5e", 2.5)])
+    def test_engine_matches_gram_kronecker_reference(self, preset, j):
+        # reference: Tr[rho Delta^2] from the Gram matrices of tail-extended
+        # kernel columns, and Kronecker products of the two modes' blocks
+        from spincat.fockspace import hermitian_sqrt
+        from spincat.skewinfo import _kernel_columns
+
+        params, channel, grid = PRESETS[preset].build(j, None)
+        rho = apply_channel_density(density_from_vector(cat_state(params)), channel)
+        d1, d2 = rho.mode_support()
+        block = rho.as_modes()[:d1, :d2, :d1, :d2].reshape(d1 * d2, d1 * d2)
+        root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), block)).entries
+        alphas, betas = grid.amplitudes()
+        picks = np.linspace(0, len(alphas) - 1, 5).astype(int)
+        picks[2] = len(alphas) // 3  # off the symmetric midpoint of a 2-d grid
+        _, var, skew = SkewEvaluator(rho).grid(alphas[picks], betas[picks])
+        for i, (a, b) in enumerate(zip(alphas[picks], betas[picks])):
+            c1, c2 = _kernel_columns(a, d1), _kernel_columns(b, d2)
+            delta = np.kron(c1[:d1], c2[:d2])
+            w_ref = np.trace(block @ delta).real
+            t1 = np.trace(block @ np.kron(c1.conj().T @ c1, c2.conj().T @ c2)).real
+            sd = root @ delta
+            assert abs(var[i] - (t1 - w_ref**2)) < 1e-12
+            assert abs(skew[i] - max(t1 - np.trace(sd @ sd).real, 0.0)) < 1e-12
 
     @pytest.mark.parametrize("preset, j, limit_mb", [("fig3a", None, 4.0), ("fig5a", 1.0, 5.0)])
     def test_grid_working_set_is_bounded(self, preset, j, limit_mb):
@@ -274,6 +319,29 @@ class TestSymmetrySweep:
         grid = GridSpec(axes=(("q1", -1.0, 1.0, 5),))
         with pytest.raises(ArithmeticError, match="pure-path audit failed"):
             symmetry_sweep(rho, grid, pure_hint=True)
+
+    def test_pure_hint_audits_against_leading_eigenvector(self, monkeypatch):
+        # the audit reference is the commutator route on rho's leading
+        # eigenvector, not the engine that produced the fast values
+        import spincat.skewinfo
+
+        rho = density_from_vector(cat_state(random_params(j=1.0)))
+        calls = []
+
+        def recording(psi, point):
+            calls.append(psi.amplitudes)
+            return pure_point_values(psi, point)
+
+        monkeypatch.setattr(spincat.skewinfo, "pure_point_values", recording)
+        monkeypatch.setattr(SkewEvaluator, "grid", None)
+        grid = GridSpec(axes=(("q1", -1.0, 1.0, 7),))
+        symmetry_sweep(rho, grid, pure_hint=True)
+        assert len(calls) == 5
+        d1, d2 = SkewEvaluator(rho).d1, SkewEvaluator(rho).d2
+        for psi in calls:
+            projector = np.outer(psi, psi.conj())
+            assert np.abs(projector - rho.as_modes()[:d1, :d2, :d1, :d2].reshape(
+                d1 * d2, d1 * d2)).max() < 1e-12
 
     def test_row_major_ordering(self):
         rho = density_from_vector(cat_state(HALF_CAT))
