@@ -75,7 +75,7 @@ class SymmetryRecord:
     w: float
     w_squared: float
     skew: float
-    budget: float  # skew + w_squared; <= 1 always, = 1 for pure states
+    budget: float  # skew + w_squared; <= Tr rho always, = 1 for pure states
 
 
 def _kernel_columns(alpha: complex, block: int) -> np.ndarray:

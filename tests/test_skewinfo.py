@@ -337,11 +337,9 @@ class TestSymmetrySweep:
         grid = GridSpec(axes=(("q1", -1.0, 1.0, 7),))
         symmetry_sweep(rho, grid, pure_hint=True)
         assert len(calls) == 5
-        d1, d2 = SkewEvaluator(rho).d1, SkewEvaluator(rho).d2
+        block = SkewEvaluator(rho).block
         for psi in calls:
-            projector = np.outer(psi, psi.conj())
-            assert np.abs(projector - rho.as_modes()[:d1, :d2, :d1, :d2].reshape(
-                d1 * d2, d1 * d2)).max() < 1e-12
+            assert np.abs(np.outer(psi, psi.conj()) - block).max() < 1e-12
 
     def test_row_major_ordering(self):
         rho = density_from_vector(cat_state(HALF_CAT))
