@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=WignerConvention.KERNEL_MEAN.value)
     p_sweep.add_argument("--out", default="-", help="output path ('-' = stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--seed", type=int, default=0,
-                         help="seed for the pure-path audit draws")
 
     p_verify = sub.add_parser("verify", help="run the full invariant battery")
     p_verify.add_argument("--seed", type=int, default=42,
@@ -142,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             channel = None if args.channel_s is None else ChannelParams(args.channel_s)
             result = evaluate_grid(params, grid, evaluator=args.evaluator,
                                    conv=WignerConvention(args.convention),
-                                   channel=channel, audit_seed=args.seed)
+                                   channel=channel)
             _write(result, args.out, args.format)
             return 0
         if args.command == "verify":

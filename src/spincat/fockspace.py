@@ -342,24 +342,26 @@ def displaced_parity_kernel(point, cutoff: FockCutoff) -> TwoModeOperator:
     return TwoModeOperator(cutoff, np.kron(k1, k2))
 
 
-def hermitian_sqrt(rho: DensityMatrix) -> TwoModeOperator:
-    """Hermitian PSD square root of a density matrix via eigendecomposition.
+def _root_blocks(entries: np.ndarray, dim2: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The Hermitian PSD square root of a density matrix, block by block.
 
-    When no entry couples two different total photon numbers N = n1 + n2 (a
-    cat state's shell, and its channel output), the root is taken per block
-    of one N; otherwise the whole matrix is one block.  Per block, eigenvalues
-    below SQRT_EIG_FLOOR times the block's largest are taken as 0: eigh
-    resolves them only to rounding of the block's scale, and sqrt would turn
-    that noise into O(1e-8) garbage.  An eigenvalue below -1e-8 signals an
-    invalid state upstream and raises.
+    ``entries`` is the (d, d) matrix on flat indices n1 * dim2 + n2.  Returns
+    [(b, r)]: the flat indices b of one block and the root r on them.  When
+    no entry couples two different total photon numbers N = n1 + n2 (a cat
+    state's shell, and its channel output), there is one block per N, in
+    ascending N; otherwise one block holds every index.  Per block,
+    eigenvalues below SQRT_EIG_FLOOR times the block's largest are taken as
+    0: eigh resolves them only to rounding of the block's scale, and sqrt
+    would turn that noise into O(1e-8) garbage.  An eigenvalue below -1e-8
+    signals an invalid state upstream and raises ValueError.
     """
-    c = rho.cutoff
-    total = (np.arange(c.dim1)[:, None] + np.arange(c.dim2)).ravel()
-    blocks = [np.flatnonzero(total == n) for n in range(c.n1_max + c.n2_max + 1)]
-    subs = [rho.entries[np.ix_(b, b)] for b in blocks]
-    if sum(np.count_nonzero(sub) for sub in subs) != np.count_nonzero(rho.entries):
-        blocks, subs = [np.arange(c.dim)], [rho.entries]
-    root = np.zeros_like(rho.entries)
+    d = entries.shape[0]
+    total = np.arange(d) // dim2 + np.arange(d) % dim2
+    blocks = [np.flatnonzero(total == n) for n in range(total[-1] + 1)]
+    subs = [entries[np.ix_(b, b)] for b in blocks]
+    if sum(np.count_nonzero(sub) for sub in subs) != np.count_nonzero(entries):
+        blocks, subs = [np.arange(d)], [entries]
+    roots = []
     for b, sub in zip(blocks, subs):
         lam, vec = np.linalg.eigh(sub)
         if lam[0] < SQRT_EIG_ABORT:
@@ -368,8 +370,23 @@ def hermitian_sqrt(rho: DensityMatrix) -> TwoModeOperator:
                 "not a physical state"
             )
         lam = np.where(lam < SQRT_EIG_FLOOR * lam[-1], 0.0, lam)
-        root[np.ix_(b, b)] = (vec * np.sqrt(lam)) @ vec.conj().T
-    root = 0.5 * (root + root.conj().T)
+        r = (vec * np.sqrt(lam)) @ vec.conj().T
+        roots.append((b, 0.5 * (r + r.conj().T)))
+    return roots
+
+
+def hermitian_sqrt(rho: DensityMatrix) -> TwoModeOperator:
+    """Hermitian PSD square root of a density matrix via eigendecomposition.
+
+    Taken per block of one total photon number N = n1 + n2 when no entry
+    couples two different N, otherwise as one block (see _root_blocks, which
+    also gives the eigenvalue floor and the ValueError for an unphysical
+    state).  Each block is symmetrized before it is scattered, so only one
+    dense matrix, the result, is allocated.
+    """
+    root = np.zeros_like(rho.entries)
+    for b, r in _root_blocks(rho.entries, rho.cutoff.dim2):
+        root[np.ix_(b, b)] = r
     return TwoModeOperator(rho.cutoff, root)
 
 

@@ -23,6 +23,12 @@ state's support once.  With rho[a,b,x,y], S = sqrt(rho):
     Tr[(S Delta)^2] = sum P[b,d,f,e] k2[d,f] k2[e,b],
         P[b,d,f,e]  = sum_{a,c} A[a,b,d,c] A[c,f,e,a],  A[a,b,d,c] = sum_x S[a,b,x,d] k1[x,c].
 
+When sqrt(rho) has one block per total photon number N = n1 + n2, as for
+every state the package builds (a cat state lives on one shell, and the
+channel is phase-covariant on mode 1), S[a,b,x,d] vanishes unless
+x = a + b - d, so A is a gather, A[a,b,d,c] = S[a,b,a+b-d,d] k1[a+b-d,c],
+not a matrix product; a root that couples different N takes the product.
+
 The rho and P contractions run once per distinct alpha, in one
 SkewEvaluator.values call for all of that alpha's points.  Since
 Delta(r e^(i phi))[m, n] = e^(i (m-n) phi) Delta(r)[m, n] with Delta(r) real,
@@ -42,8 +48,8 @@ import numpy as np
 from .fockspace import (
     DensityMatrix,
     FockCutoff,
+    _root_blocks,
     adequate_n_max,
-    hermitian_sqrt,
     single_mode_kernel,
 )
 from .grids import axis_groups
@@ -62,7 +68,6 @@ __all__ = [
 SKEW_CLAMP = -1e-9
 PURITY_TOL = 1e-10
 AUDIT_TOL = 1e-7
-AUDIT_POINTS = 5
 # working-set budget of one chunk of real kernel blocks
 CHUNK_BYTES = 1 << 19
 
@@ -84,25 +89,33 @@ def _kernel_columns(alpha: complex, block: int) -> np.ndarray:
     return single_mode_kernel(alpha, adequate_n_max(4.0 * abs(alpha) ** 2, block - 1), block)
 
 
-def _kernel_blocks(values, block: int):
+def _kernel_blocks(values, block: int, rows: int | None = None):
     """(i, k) for every values[i]: k = Delta(values[i]) on levels < block.
 
     Moduli go in ascending order, one real single_mode_kernel call per chunk
     of them whose blocks fit CHUNK_BYTES; a value's phases are applied as it
-    is yielded.
+    is yielded.  With ``rows``, k is the pair [k, g] of shape (2, block,
+    block), where g = c^H c is the Gram matrix of Delta's first block columns
+    c on levels < rows: the truncated block of Delta^2 = 1.  Each is built
+    from the real matrices of the modulus, and a phase pattern acts on the
+    pair as on k alone.
     """
     members = {}  # modulus: [(index, phase)], without numpy's float sort
     for i, v in enumerate(np.ravel(values).tolist()):
         members.setdefault(abs(v), []).append((i, atan2(v.imag, v.real)))
     moduli = sorted(members)
-    per_chunk = max(1, CHUNK_BYTES // (block * block * 8))
+    height = rows or block
+    per_chunk = max(1, CHUNK_BYTES // (height * block * 8))
     levels = np.arange(block)
     for lo in range(0, len(moduli), per_chunk):
         chunk = moduli[lo:lo + per_chunk]
-        for k, r in zip(single_mode_kernel(np.array(chunk), block - 1, block), chunk):
+        k = single_mode_kernel(np.array(chunk), height - 1, block)
+        if rows:
+            k = np.stack([k[:, :block], k.transpose(0, 2, 1) @ k], axis=1)
+        for k_r, r in zip(k, chunk):
             for i, phi in members[r]:
                 u = np.exp(1j * phi * levels)
-                yield i, u[:, None] * k * u.conj()
+                yield i, u[:, None] * k_r * u.conj()
 
 
 def _kernel_stack(values, block: int) -> np.ndarray:
@@ -113,30 +126,53 @@ def _kernel_stack(values, block: int) -> np.ndarray:
     return k
 
 
-def pure_point_values(psi: StateVector, point: PhasePoint) -> tuple[float, float]:
-    """(W, I) for a pure state from the commutator definition.
+def pure_point_values(psi: StateVector, point: PhasePoint):
+    """(W, I) for a pure state from the commutator definition: floats for one
+    point, arrays for a batch (point.alpha and point.beta 1-d arrays).
 
     For rank-1 sqrt(rho) = rho the skew information reduces to
     I = ||Delta psi||^2 - <psi|Delta|psi>^2, which needs only kernel columns
-    over the state's support; every kernel entry is exact, so the only
-    truncation error is the Fock tail of Delta psi, controlled by the
-    adequate-cutoff rule.
+    over the state's support.  Every kernel entry is exact, so the only
+    truncation error is the Fock tail of Delta psi; the columns of every
+    distinct alpha and beta are built once, at the one cutoff that the
+    adequate-cutoff rule gives the largest amplitude of the batch.  With k
+    the square block of a mode's columns c and g = c^H c their Gram matrix,
+
+        W = sum (psi^H k1 psi)[y, z] k2[y, z],
+        ||Delta psi||^2 = sum (psi^H g1 psi)[y, z] g2[y, z],
+
+    with psi as a matrix (rows n1, columns n2), so each point costs two dot
+    products of length dim2^2.
     """
     c = psi.cutoff
     psi4 = psi.amplitudes.reshape(c.dim1, c.dim2)
-    c1 = _kernel_columns(point.alpha, c.dim1)
-    c2 = _kernel_columns(point.beta, c.dim2)
-    dpsi = c1 @ psi4 @ c2.T  # (N1, N2) image of Delta |psi>
-    w = _as_real(np.vdot(psi4, dpsi[: c.dim1, : c.dim2]), "kernel mean")
-    norm_sq = float(np.real(np.vdot(dpsi, dpsi)))
-    return w, norm_sq - w**2
+    alphas, betas = np.broadcast_arrays(np.asarray(point.alpha, dtype=complex),
+                                        np.asarray(point.beta, dtype=complex))
+    alphas, betas = alphas.ravel(), betas.ravel()
+    reach = float(np.abs(np.concatenate([alphas, betas])).max())
+    rows = adequate_n_max(4.0 * reach**2, max(c.dim1, c.dim2) - 1) + 1
+    b_vals, b_idx = np.unique(betas, return_inverse=True)
+    mode2 = np.empty((b_vals.size, 2, c.dim2 * c.dim2), dtype=complex)
+    for i, pair in _kernel_blocks(b_vals, c.dim2, rows):
+        mode2[i] = pair.reshape(2, -1)
+    out = np.empty((alphas.size, 2), dtype=complex)
+    a_vals, groups = axis_groups(alphas)
+    psi4_h = psi4.conj().T
+    for i, pair in _kernel_blocks(a_vals, c.dim1, rows):
+        mode1 = (psi4_h @ pair @ psi4).reshape(2, -1)
+        out[groups[i]] = np.einsum("pkz,kz->pk", mode2[b_idx[groups[i]]], mode1)
+    w = _as_real(out[:, 0], "kernel mean")
+    skew = out[:, 1].real - w**2
+    if np.ndim(point.alpha) == np.ndim(point.beta) == 0:
+        return float(w[0]), float(skew[0])
+    return w, skew
 
 
 class SkewEvaluator:
     """Skew-information engine for one state over any set of phase points.
 
     Works on the state's support block, whose square root is taken when the
-    skew is first asked for (hermitian_sqrt; it raises for an unphysical
+    skew is first asked for (_root_blocks; it raises for an unphysical
     state).  Skew values in [-1e-9, 0) are clamped to zero and counted in
     ``clamped_points``; anything more negative raises (the truncation was
     inadequate).  See the module docstring for the factorisation.
@@ -155,11 +191,27 @@ class SkewEvaluator:
         self.clamped_points = 0
 
     @cached_property
-    def _sqrt_rows(self) -> np.ndarray:
-        """sqrt(rho) as S[a,b,x,d] with rows (b, d, a) and column x."""
+    def _root(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """sqrt(rho) as S[a,b,x,d] on rows (b, d, a), for _square_trace.
+
+        When the root has one block per total photon number (_root_blocks),
+        row (b, d, a) reaches only column x = a + b - d, and the pair is
+        (s, x): the one entry s[(b, d, a)] = S[a,b,x,d] as a column, and the
+        index x, clipped into range where s is 0.  Otherwise (rows, None):
+        the dense rows, column x."""
         d1, d2 = self.d1, self.d2
-        root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), self.block)).entries
-        return root.reshape(d1, d2, d1, d2).transpose(1, 3, 0, 2).reshape(d2 * d2 * d1, d1)
+        roots = _root_blocks(self.block, d2)
+        if len(roots) != d1 + d2 - 1:  # one block couples different N
+            (_, root), = roots
+            rows = root.reshape(d1, d2, d1, d2).transpose(1, 3, 0, 2).reshape(d2 * d2 * d1, d1)
+            return rows, None
+        s = np.zeros((d2, d2, d1), dtype=complex)
+        for b, r in roots:
+            n1, n2 = np.divmod(b, d2)
+            s[n2[:, None], n2, n1[:, None]] = r  # r[p, q] = S[n1[p], n2[p], n1[q], n2[q]]
+        b, d, a = np.ogrid[:d2, :d2, :d1]
+        x = np.clip(a + b - d, 0, d1 - 1)
+        return s.reshape(-1, 1), x.ravel()
 
     def _contract(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
         """sum rho[a,b,x,y] f1[x,a] f2[p][y,b] for every stacked f2[p]."""
@@ -169,7 +221,13 @@ class SkewEvaluator:
     def _square_trace(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
         """Tr[(sqrt(rho) Delta)^2] for every stacked k2[p] at one alpha."""
         d1, d2 = self.d1, self.d2
-        a = (self._sqrt_rows @ k1).reshape(d2 * d2, d1, d1)  # A[a,b,d,c] as [(b, d), a, c]
+        s, x = self._root
+        if x is None:
+            a = s @ k1
+        else:
+            a = k1[x]
+            a *= s
+        a = a.reshape(d2 * d2, d1, d1)  # A[a,b,d,c] as [(b, d), a, c]
         # P[(b, d), (f, e)] = sum_{a,c} A[a,b,d,c] A[c,f,e,a]
         p = a.reshape(d2 * d2, d1 * d1) @ a.transpose(0, 2, 1).reshape(d2 * d2, d1 * d1).T
         return np.einsum("bdfe,pdf,peb->p", p.reshape(d2, d2, d2, d2), k2, k2).real
@@ -198,7 +256,7 @@ class SkewEvaluator:
         values() call per distinct alpha."""
         alphas, betas = np.ravel(alphas), np.ravel(betas)
         out = np.empty((3, alphas.size))
-        self._sqrt_rows  # the root's eigh before, not beside, a chunk of alpha blocks
+        self._root  # the root's eigh before, not beside, a chunk of alpha blocks
         for at, alpha, k1, k2 in self._batches(alphas, betas):
             out[:, at] = self.values(PhasePoint(alpha, betas[at]), k2, k1)
         return out[0], out[1], out[2]
@@ -243,14 +301,14 @@ def skew_information(rho: DensityMatrix, point: PhasePoint) -> float:
     return SkewEvaluator(rho).values(point)[2]
 
 
-def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False,
-                   seed: int = 0) -> list[SymmetryRecord]:
+def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False) -> list[SymmetryRecord]:
     """One SymmetryRecord per grid point, row-major over the grid axes.
 
-    With ``pure_hint`` the skew column is the fast path 1 - W^2, spot-audited
-    at 5 random grid points (tolerance 1e-7) against pure_point_values on
-    rho's leading eigenvector; an audit failure aborts, since it means the
-    state was not actually pure or the truncation is inadequate.
+    With ``pure_hint`` the skew column is the fast path 1 - W^2, audited at
+    every grid point (tolerance AUDIT_TOL, on W and I) against one batched
+    pure_point_values call on rho's leading eigenvector; an audit failure
+    aborts, since it means the state was not actually pure or the truncation
+    is inadequate.
     """
     alphas, betas = grid.amplitudes()
     engine = SkewEvaluator(rho)
@@ -262,15 +320,14 @@ def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False,
         skew, budget = 1.0 - w * w, np.ones_like(w)
         psi = StateVector(FockCutoff(engine.d1 - 1, engine.d2 - 1),
                           np.linalg.eigh(engine.block)[1][:, -1])
-        rng = np.random.default_rng(seed)
-        for i in rng.choice(len(w), size=min(AUDIT_POINTS, len(w)), replace=False):
-            point = PhasePoint(alphas[i], betas[i])
-            _, reference = pure_point_values(psi, point)
-            if abs(reference - skew[i]) > AUDIT_TOL:
-                raise ArithmeticError(
-                    f"pure-path audit failed at {point}: "
-                    f"fast skew {skew[i]} vs commutator {reference}"
-                )
+        w_ref, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
+        gap = np.maximum(np.abs(w_ref - w), np.abs(skew_ref - skew))
+        i = int(gap.argmax())
+        if gap[i] > AUDIT_TOL:
+            raise ArithmeticError(
+                f"pure-path audit failed at {PhasePoint(alphas[i], betas[i])}: fast "
+                f"(W={w[i]}, I={skew[i]}) vs commutator (W={w_ref[i]}, I={skew_ref[i]})"
+            )
     else:
         w, _, skew = engine.grid(alphas, betas)
         budget = skew + w * w

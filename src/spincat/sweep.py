@@ -12,10 +12,25 @@ it stays below 1.  With the "gaussian" evaluator, W comes from the
 Gaussian-branch surrogate while I still belongs to the true state, so the
 budget column is diagnostic only.
 
-The grid is evaluated in batches, never point by point: the closed form
-(wigner._closed_kernel_mean), the Gaussian-branch surrogate
-(wigner._gaussian_form), both behind the channel through one
-channel_wigner_convolution call on the whole batch, and the skew engine
+Where W comes from, and what checks it:
+
+* pure, "closed": the closed form (wigner._closed_kernel_mean); "kernel":
+  SkewEvaluator.kernel_means on the pure state.  I = 1 - W^2.  Both are
+  audited at every point, W and I, against one batched pure_point_values
+  call (the commutator route).
+* behind the channel, "closed" and "kernel": the W that
+  SkewEvaluator.grid returns with I, the kernel mean of the channel output
+  rho', so I + W^2 <= Tr rho' holds from one rho'.  For "closed",
+  channel_wigner_convolution (the Gaussian-smoothed closed form) audits it
+  at 5 evenly spaced records and the records of largest |alpha| and |beta|.
+* "gaussian": the surrogate (wigner._gaussian_form), behind the channel
+  through one channel_wigner_convolution call on the whole batch.
+
+An audit off by more than skewinfo.AUDIT_TOL raises ArithmeticError naming
+the point and both values; no audit draws random numbers.
+
+The grid is evaluated in batches, never point by point: the closed form,
+the Gaussian-branch surrogate, the audits and the skew engine
 (skewinfo.SkewEvaluator.grid) build their single-mode factors once per
 distinct alpha and per distinct beta.  The skew engine's kernel blocks on
 the state's support come from real displacement recurrences, one per distinct
@@ -52,7 +67,7 @@ from . import __version__
 from .channel import ChannelParams, apply_channel_density, channel_wigner_convolution
 from .fockspace import warn_if_truncated
 from .grids import RECORD_COLUMNS, GridSpec, SweepResult
-from .skewinfo import SkewEvaluator, pure_point_values
+from .skewinfo import AUDIT_TOL, SkewEvaluator, pure_point_values
 from .states import CatParams, cat_state, density_from_vector
 from .wigner import (
     PhasePoint,
@@ -79,13 +94,12 @@ EVALUATORS = ("closed", "kernel", "gaussian")
 def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
                   conv: WignerConvention = WignerConvention.KERNEL_MEAN,
                   channel: ChannelParams | None = None,
-                  audit_seed: int = 0, meta_extra: dict | None = None) -> SweepResult:
+                  meta_extra: dict | None = None) -> SweepResult:
     """Evaluate W and skew information over a grid; see module docstring."""
     if evaluator not in EVALUATORS:
         raise ValueError(f"unknown evaluator {evaluator!r}; expected one of {EVALUATORS}")
     coords = grid.coordinates()
     alphas, betas = grid.amplitudes()
-    n = len(coords)
 
     psi = cat_state(params)
     cutoff_used = psi.cutoff
@@ -98,28 +112,30 @@ def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
             kernel_mean = _as_real(_closed_kernel_mean(params, alphas, betas),
                                    "closed-form Wigner value")
         skew = 1.0 - kernel_mean**2
-        # spot-audit the pure-state fast path against the commutator route
-        rng = np.random.default_rng(audit_seed)
-        for i in rng.choice(n, size=min(5, n), replace=False):
-            pt = PhasePoint(alphas[i], betas[i])
-            w_ref, skew_ref = pure_point_values(psi, pt)
-            if abs(skew_ref - skew[i]) > 1e-7 or abs(w_ref - kernel_mean[i]) > 1e-7:
-                raise ArithmeticError(
-                    f"pure-state audit failed at {pt}: fast (W={kernel_mean[i]}, "
-                    f"I={skew[i]}) vs commutator (W={w_ref}, I={skew_ref})"
-                )
+        # audit the pure-state fast path against the commutator route
+        w_ref, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
+        gap = np.maximum(np.abs(w_ref - kernel_mean), np.abs(skew_ref - skew))
+        i = int(gap.argmax())
+        if gap[i] > AUDIT_TOL:
+            raise ArithmeticError(
+                f"pure-state audit failed at (q1, p1, q2, p2) = {tuple(coords[i].tolist())}: "
+                f"fast (W={kernel_mean[i]}, I={skew[i]}) vs commutator "
+                f"(W={w_ref[i]}, I={skew_ref[i]})"
+            )
     else:
         rho = apply_channel_density(density_from_vector(psi), channel)
         kernel_mean, _, skew = SkewEvaluator(rho).grid(alphas, betas)
         if evaluator == "kernel":
             warn_if_truncated(rho)
+        elif evaluator == "closed":
+            _audit_noisy_w(params, channel, coords, alphas, betas, kernel_mean)
         cutoff_used = rho.cutoff
 
-    if evaluator == "kernel" or (evaluator == "closed" and channel is None):
+    if evaluator != "gaussian":
         w = conv.factor * kernel_mean
     elif channel is not None:
         w = channel_wigner_convolution(params, channel, PhasePoint(alphas, betas), conv,
-                                       form=evaluator)
+                                       form="gaussian")
     else:
         w = conv.factor * _as_real(_gaussian_form(params, alphas, betas),
                                    "Gaussian-form Wigner value")
@@ -146,6 +162,25 @@ def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
     if meta_extra:
         meta.update(meta_extra)
     return SweepResult(meta=meta, records=records)
+
+
+def _audit_noisy_w(params: CatParams, channel: ChannelParams, coords: np.ndarray,
+                   alphas: np.ndarray, betas: np.ndarray, w: np.ndarray) -> None:
+    """Check the engine's noisy W against channel_wigner_convolution at 5
+    evenly spaced records and the records of largest |alpha| and |beta|,
+    where the truncation error peaks; ArithmeticError names the worst point
+    when it is off by more than AUDIT_TOL."""
+    n = len(w)
+    at = np.unique(np.append(np.linspace(0, n - 1, min(n, 5)).astype(int),
+                             [np.abs(alphas).argmax(), np.abs(betas).argmax()]))
+    w_conv = channel_wigner_convolution(params, channel, PhasePoint(alphas[at], betas[at]))
+    gap = np.abs(w_conv - w[at])
+    i = int(gap.argmax())
+    if gap[i] > AUDIT_TOL:
+        raise ArithmeticError(
+            f"noisy audit failed at (q1, p1, q2, p2) = {tuple(coords[at[i]].tolist())}: "
+            f"engine W={w[at[i]]} vs convolution W={w_conv[i]}"
+        )
 
 
 # ---------------------------------------------------------------------------

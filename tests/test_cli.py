@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +111,8 @@ class TestPresetCommand:
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("target, fake", [
-        ("pure_point_values", lambda psi, pt: (0.5, 0.75)),
+        ("pure_point_values", lambda psi, pt: (np.full(pt.alpha.shape, 0.5),
+                                               np.full(pt.alpha.shape, 0.75))),
         ("_closed_kernel_mean", lambda params, alphas, betas: np.full(alphas.shape, 1e-3j)),
     ], ids=["audit", "imaginary-residue"])
     def test_exits_three_with_one_error_line(self, monkeypatch, capsys, target, fake):
@@ -129,11 +134,18 @@ class TestNumericalFailure:
         assert err.startswith("error: channel trace drift ") and err.count("\n") == 1
         assert "n1_max = 2" in err
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: at j = 15 the closed form's shell-kernel sum cancels, so W "
-        "is off by up to 1.5e-6 at 4 of these 21 points, and the five-point audit "
-        "of seed 3 misses all four: the sweep exits 0 with wrong W. ROADMAP item 2 "
-        "replaces the kernel builder and removes this mark"))
+    def test_noisy_audit_exits_three(self, monkeypatch, capsys):
+        # a convolution off by 1e-6 fails the audit of the engine's noisy W
+        import spincat.sweep
+
+        original = spincat.sweep.channel_wigner_convolution
+        monkeypatch.setattr(spincat.sweep, "channel_wigner_convolution",
+                            lambda *args, **kwargs: original(*args, **kwargs) + 1e-6)
+        assert main(["preset", "fig5a", "--out", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: noisy audit failed at ") and err.count("\n") == 1
+        assert "engine W=" in err and "convolution W=" in err
+
     def test_pure_audit_leaves_no_silent_wrong_value(self, tmp_path):
         # the sweep must either exit 3 or write W that the commutator route
         # confirms to the audit tolerance at every point
@@ -146,7 +158,7 @@ class TestNumericalFailure:
         code = main([
             "sweep", "--j", "15", "--theta1", "pi/3", "--theta2", "pi/2",
             "--phi1", "0", "--phi2", "2*pi", "--axes", "q2",
-            "--range", "-10,10", "--count", "21", "--seed", "3", "--out", str(out),
+            "--range", "-10,10", "--count", "21", "--out", str(out),
         ])
         if code == 3:
             return
@@ -156,6 +168,22 @@ class TestNumericalFailure:
         w_ref = [pure_point_values(psi, PhasePoint.from_quadratures(*row[:4]))[0]
                  for row in rows]
         assert np.max(np.abs(rows[:, 4] - w_ref)) <= 1e-7
+
+
+class TestPresetProcess:
+    @pytest.mark.parametrize("preset", ["fig1a", "fig3a"])
+    def test_preset_leaves_numpy_random_unimported(self, tmp_path, preset):
+        # the audits draw no random numbers, and importing numpy.random
+        # costs about 15 ms per call
+        import spincat
+
+        code = ("import sys; from spincat.cli import main; "
+                "code = main(['preset', sys.argv[1], '--out', sys.argv[2]]); "
+                "print(code, 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(spincat.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, preset, str(tmp_path / "out.csv")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 class TestSweepCommand:

@@ -432,6 +432,30 @@ class TestHermitianSqrt:
         with pytest.raises(ValueError):
             hermitian_sqrt(rho)
 
+    def test_working_set_is_the_result(self):
+        # each N-block is symmetrized before it is scattered, so the one dense
+        # matrix held is the result: on fig5e's support block (j = 5/2,
+        # 67 x 6 levels, 2.59 MB) symmetrizing the dense root instead held
+        # three copies at once, a 7.96 MB peak
+        import tracemalloc
+
+        from spincat.channel import apply_channel_density
+        from spincat.states import cat_state, density_from_vector
+        from spincat.sweep import PRESETS
+
+        params, channel, _ = PRESETS["fig5e"].build(2.5, None)
+        rho = apply_channel_density(density_from_vector(cat_state(params)), channel)
+        d1, d2 = rho.mode_support()
+        block = DensityMatrix(FockCutoff(d1 - 1, d2 - 1),
+                              rho.as_modes()[:d1, :d2, :d1, :d2].reshape(d1 * d2, d1 * d2))
+        tracemalloc.start()
+        try:
+            hermitian_sqrt(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block.entries.nbytes
+
 
 class TestOperatorTypes:
     def test_density_requires_hermitian(self):

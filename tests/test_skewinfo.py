@@ -11,7 +11,7 @@ from spincat.skewinfo import (
     skew_information,
     symmetry_sweep,
 )
-from spincat.states import CatParams, cat_state, density_from_vector, dicke_vector
+from spincat.states import CatParams, StateVector, cat_state, density_from_vector, dicke_vector
 from spincat.sweep import PRESETS
 from spincat.wigner import PhasePoint, wigner_kernel_trace
 
@@ -86,6 +86,27 @@ class TestSkewInformationPure:
             pt = random_point()
             w, _ = pure_point_values(psi, pt)
             assert w == pytest.approx(wigner_kernel_trace(rho, pt), abs=1e-10)
+
+    def test_batch_matches_per_point_image_of_delta(self):
+        # reference: Delta psi = c1 psi c2^T from each point's own kernel
+        # columns at its own adequate cutoff, one point at a time; the batch
+        # repeats alpha and beta values and shares one cutoff
+        psi = cat_state(random_params(j=1.5))
+        c = psi.cutoff
+        psi4 = psi.amplitudes.reshape(c.dim1, c.dim2)
+        alphas = np.array([0.3 + 0.1j, 0.3 + 0.1j, -1.8j, 2.1, 0.0])
+        betas = np.array([0.2, -0.5 + 0.4j, 0.2, 1.2 - 0.9j, 0.0])
+        w, skew = pure_point_values(psi, PhasePoint(alphas, betas))
+        assert w.shape == skew.shape == (5,)
+        for i, (a, b) in enumerate(zip(alphas, betas)):
+            c1, c2 = (single_mode_kernel(v, adequate_n_max(4 * abs(v) ** 2, d - 1), d)
+                      for v, d in ((a, c.dim1), (b, c.dim2)))
+            dpsi = c1 @ psi4 @ c2.T
+            w_ref = np.vdot(psi4, dpsi[:c.dim1, :c.dim2]).real
+            assert abs(w[i] - w_ref) < 1e-13
+            assert abs(skew[i] - (np.vdot(dpsi, dpsi).real - w_ref**2)) < 1e-13
+            assert pure_point_values(psi, PhasePoint(a, b)) == pytest.approx(
+                (w[i], skew[i]), abs=1e-15)
 
 
 class TestSkewInformationMixed:
@@ -210,22 +231,34 @@ class TestGridEngine:
         assert (skew + w * w).max() <= rho.entries.trace().real + 1e-15
 
     @pytest.mark.parametrize("preset, j", [("fig3a", None), ("fig5a", 1.0), ("fig5g", 1.0),
-                                           ("fig5e", 2.5)])
+                                           ("fig5e", 2.5), ("coherent", None)])
     def test_engine_matches_gram_kronecker_reference(self, preset, j):
         # reference: Tr[rho Delta^2] from the Gram matrices of tail-extended
-        # kernel columns, and Kronecker products of the two modes' blocks
+        # kernel columns, and Kronecker products of the two modes' blocks.
+        # "coherent" is a truncated |gamma> (x) |0> behind the s = 1 channel:
+        # its root couples different N = n1 + n2, so the engine multiplies
+        # the dense root rows instead of gathering one entry per row
         from spincat.fockspace import hermitian_sqrt
         from spincat.skewinfo import _kernel_columns
 
-        params, channel, grid = PRESETS[preset].build(j, None)
-        rho = apply_channel_density(density_from_vector(cat_state(params)), channel)
+        if preset == "coherent":
+            n = np.arange(9)
+            amp = (0.6 + 0.3j) ** n / np.sqrt([float(np.prod(n[1:k + 1])) for k in n])
+            psi = StateVector(FockCutoff(8, 0), amp / np.linalg.norm(amp))
+            rho = apply_channel_density(density_from_vector(psi), ChannelParams(1.0))
+            grid = GridSpec(axes=(("q1", -2.0, 2.0, 11), ("p2", -2.0, 2.0, 11)))
+        else:
+            params, channel, grid = PRESETS[preset].build(j, None)
+            rho = apply_channel_density(density_from_vector(cat_state(params)), channel)
         d1, d2 = rho.mode_support()
         block = rho.as_modes()[:d1, :d2, :d1, :d2].reshape(d1 * d2, d1 * d2)
         root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), block)).entries
         alphas, betas = grid.amplitudes()
         picks = np.linspace(0, len(alphas) - 1, 5).astype(int)
         picks[2] = len(alphas) // 3  # off the symmetric midpoint of a 2-d grid
-        _, var, skew = SkewEvaluator(rho).grid(alphas[picks], betas[picks])
+        engine = SkewEvaluator(rho)
+        _, var, skew = engine.grid(alphas[picks], betas[picks])
+        assert (engine._root[1] is None) == (preset == "coherent")
         for i, (a, b) in enumerate(zip(alphas[picks], betas[picks])):
             c1, c2 = _kernel_columns(a, d1), _kernel_columns(b, d2)
             delta = np.kron(c1[:d1], c2[:d2])
@@ -336,7 +369,7 @@ class TestSymmetrySweep:
         monkeypatch.setattr(SkewEvaluator, "grid", None)
         grid = GridSpec(axes=(("q1", -1.0, 1.0, 7),))
         symmetry_sweep(rho, grid, pure_hint=True)
-        assert len(calls) == 5
+        assert len(calls) == 1  # one batched call audits every point
         block = SkewEvaluator(rho).block
         for psi in calls:
             assert np.abs(np.outer(psi, psi.conj()) - block).max() < 1e-12

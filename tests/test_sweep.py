@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import spincat.sweep
-from spincat.channel import ChannelParams
+from spincat.channel import ChannelParams, apply_channel_density
 from spincat.grids import RECORD_COLUMNS, GridSpec, SweepResult
-from spincat.states import CatParams
+from spincat.skewinfo import SkewEvaluator
+from spincat.states import CatParams, cat_state, density_from_vector
 from spincat.sweep import (
     evaluate_grid,
     preset_names,
@@ -160,6 +161,30 @@ class TestEvaluateGrid:
         res = evaluate_grid(HALF_CAT, grid, channel=ChannelParams(1.0))
         assert (res.column("budget") <= 1.0 + 1e-8).all()
         assert res.meta["channel"]["s"] == 1.0
+
+    @pytest.mark.parametrize("evaluator", ["closed", "kernel"])
+    def test_noisy_w_is_the_engine_kernel_mean(self, evaluator):
+        grid = GridSpec(axes=(("q1", -2.0, 2.0, 9), ("p2", -1.0, 1.0, 3)))
+        res = evaluate_grid(HALF_CAT, grid, evaluator=evaluator, channel=ChannelParams(1.0))
+        rho = apply_channel_density(density_from_vector(cat_state(HALF_CAT)),
+                                    ChannelParams(1.0))
+        assert np.array_equal(res.column("W"),
+                              SkewEvaluator(rho).kernel_means(*grid.amplitudes()))
+
+    def test_noisy_sweep_audits_with_one_convolution_call(self, monkeypatch):
+        # 9 points: records 0, 2, 4, 6, 8; the largest |alpha| is record 0
+        # and every beta is 0
+        original = spincat.sweep.channel_wigner_convolution
+        calls = []
+
+        def recording(params, channel, point, *args, **kwargs):
+            calls.append(np.size(point.alpha))
+            return original(params, channel, point, *args, **kwargs)
+
+        monkeypatch.setattr(spincat.sweep, "channel_wigner_convolution", recording)
+        evaluate_grid(HALF_CAT, GridSpec(axes=(("q1", -3.0, 3.0, 9),)),
+                      channel=ChannelParams(1.0))
+        assert calls == [5]
 
     def test_density_convention_column(self):
         grid = GridSpec(axes=(("q1", 0.5, 0.5, 1),))
