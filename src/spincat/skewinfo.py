@@ -142,25 +142,30 @@ def pure_point_values(psi: StateVector, point: PhasePoint):
         ||Delta psi||^2 = sum (psi^H g1 psi)[y, z] g2[y, z],
 
     with psi as a matrix (rows n1, columns n2), so each point costs two dot
-    products of length dim2^2.
+    products of length dim2^2 (dim1^2 with the modes' roles swapped).
     """
     c = psi.cutoff
-    psi4 = psi.amplitudes.reshape(c.dim1, c.dim2)
     alphas, betas = np.broadcast_arrays(np.asarray(point.alpha, dtype=complex),
                                         np.asarray(point.beta, dtype=complex))
     alphas, betas = alphas.ravel(), betas.ravel()
     reach = float(np.abs(np.concatenate([alphas, betas])).max())
     rows = adequate_n_max(4.0 * reach**2, max(c.dim1, c.dim2) - 1) + 1
-    b_vals, b_idx = np.unique(betas, return_inverse=True)
-    mode2 = np.empty((b_vals.size, 2, c.dim2 * c.dim2), dtype=complex)
-    for i, pair in _kernel_blocks(b_vals, c.dim2, rows):
-        mode2[i] = pair.reshape(2, -1)
+    # the formulas are symmetric in the modes: stack the factors of the mode
+    # with fewer distinct values, and loop over the other
+    psi4 = psi.amplitudes.reshape(c.dim1, c.dim2)
+    psi4, outer, inner = min((psi4, alphas, betas), (psi4.T, betas, alphas),
+                             key=lambda m: len(set(m[2].tolist())))
+    d_outer, d_inner = psi4.shape
+    i_vals, i_idx = np.unique(inner, return_inverse=True)
+    stack = np.empty((i_vals.size, 2, d_inner * d_inner), dtype=complex)
+    for i, pair in _kernel_blocks(i_vals, d_inner, rows):
+        stack[i] = pair.reshape(2, -1)
     out = np.empty((alphas.size, 2), dtype=complex)
-    a_vals, groups = axis_groups(alphas)
+    o_vals, groups = axis_groups(outer)
     psi4_h = psi4.conj().T
-    for i, pair in _kernel_blocks(a_vals, c.dim1, rows):
-        mode1 = (psi4_h @ pair @ psi4).reshape(2, -1)
-        out[groups[i]] = np.einsum("pkz,kz->pk", mode2[b_idx[groups[i]]], mode1)
+    for i, pair in _kernel_blocks(o_vals, d_outer, rows):
+        sandwich = (psi4_h @ pair @ psi4).reshape(2, -1)
+        out[groups[i]] = np.einsum("pkz,kz->pk", stack[i_idx[groups[i]]], sandwich)
     w = _as_real(out[:, 0], "kernel mean")
     skew = out[:, 1].real - w**2
     if np.ndim(point.alpha) == np.ndim(point.beta) == 0:

@@ -12,22 +12,13 @@ it stays below 1.  With the "gaussian" evaluator, W comes from the
 Gaussian-branch surrogate while I still belongs to the true state, so the
 budget column is diagnostic only.
 
-Where W comes from, and what checks it:
-
-* pure, "closed": the closed form (wigner._closed_kernel_mean); "kernel":
-  SkewEvaluator.kernel_means on the pure state.  I = 1 - W^2.  Both are
-  audited at every point, W and I, against one batched pure_point_values
-  call (the commutator route).
-* behind the channel, "closed" and "kernel": the W that
-  SkewEvaluator.grid returns with I, the kernel mean of the channel output
-  rho', so I + W^2 <= Tr rho' holds from one rho'.  For "closed",
-  channel_wigner_convolution (the Gaussian-smoothed closed form) audits it
-  at 5 evenly spaced records and the records of largest |alpha| and |beta|.
-* "gaussian": the surrogate (wigner._gaussian_form), behind the channel
-  through one channel_wigner_convolution call on the whole batch.
-
-An audit off by more than skewinfo.AUDIT_TOL raises ArithmeticError naming
-the point and both values; no audit draws random numbers.
+Pure W (closed form, or kernel_means for "kernel") and I = 1 - W^2 are
+audited at every point by one batched pure_point_values call.  Behind the
+channel, "closed" and "kernel" write the W that SkewEvaluator.grid returns
+with I, so I + W^2 <= Tr rho' holds from one rho'; for "closed",
+channel_wigner_convolution audits it at up to 7 points (_audit_noisy_w).
+An audit gap above skewinfo.AUDIT_TOL raises ArithmeticError; no audit
+draws random numbers.
 
 The grid is evaluated in batches, never point by point: the closed form,
 the Gaussian-branch surrogate, the audits and the skew engine
@@ -171,8 +162,8 @@ def _audit_noisy_w(params: CatParams, channel: ChannelParams, coords: np.ndarray
     where the truncation error peaks; ArithmeticError names the worst point
     when it is off by more than AUDIT_TOL."""
     n = len(w)
-    at = np.unique(np.append(np.linspace(0, n - 1, min(n, 5)).astype(int),
-                             [np.abs(alphas).argmax(), np.abs(betas).argmax()]))
+    at = np.array(sorted({*np.linspace(0, n - 1, min(n, 5)).astype(int).tolist(),
+                          int(np.abs(alphas).argmax()), int(np.abs(betas).argmax())}))
     w_conv = channel_wigner_convolution(params, channel, PhasePoint(alphas[at], betas[at]))
     gap = np.abs(w_conv - w[at])
     i = int(gap.argmax())

@@ -172,18 +172,19 @@ class TestNumericalFailure:
 
 class TestPresetProcess:
     @pytest.mark.parametrize("preset", ["fig1a", "fig3a"])
-    def test_preset_leaves_numpy_random_unimported(self, tmp_path, preset):
+    def test_preset_leaves_lazy_numpy_modules_unimported(self, tmp_path, preset):
         # the audits draw no random numbers, and importing numpy.random
-        # costs about 15 ms per call
+        # costs about 15 ms per call; np.unique without an inverse imports
+        # numpy.ma, about 13 ms more
         import spincat
 
         code = ("import sys; from spincat.cli import main; "
                 "code = main(['preset', sys.argv[1], '--out', sys.argv[2]]); "
-                "print(code, 'numpy.random' in sys.modules)")
+                "print(code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(Path(spincat.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code, preset, str(tmp_path / "out.csv")],
                               env=env, capture_output=True, text=True, timeout=120)
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
 
 
 class TestSweepCommand:
