@@ -381,8 +381,8 @@ def hermitian_sqrt(rho: DensityMatrix) -> TwoModeOperator:
     Taken per block of one total photon number N = n1 + n2 when no entry
     couples two different N, otherwise as one block (see _root_blocks, which
     also gives the eigenvalue floor and the ValueError for an unphysical
-    state).  Each block is symmetrized before it is scattered, so only one
-    dense matrix, the result, is allocated.
+    state).  Each block is symmetrized before it is scattered, so a state
+    with N-blocks holds no dense temporary beside the result.
     """
     root = np.zeros_like(rho.entries)
     for b, r in _root_blocks(rho.entries, rho.cutoff.dim2):
