@@ -23,7 +23,6 @@ from .fockspace import (
     TruncationWarning,
     TwoModeOperator,
     adequate_n_max,
-    displaced_parity_kernel,
     displacement_matrix,
     hermitian_sqrt,
     parity_matrix,
@@ -34,9 +33,7 @@ from .grids import GridSpec, SweepResult
 from .skewinfo import (
     SkewEvaluator,
     SymmetryRecord,
-    parity_variance,
     pure_point_values,
-    skew_information,
     symmetry_sweep,
 )
 from .states import (
@@ -74,12 +71,10 @@ __all__ = [
     "ChannelParams", "apply_channel_density", "channel_wigner_convolution",
     "channel_wigner_quadrature", "gaussian_measure_nodes",
     "DensityMatrix", "FockCutoff", "TruncationWarning", "TwoModeOperator",
-    "adequate_n_max", "displaced_parity_kernel",
-    "displacement_matrix", "hermitian_sqrt", "parity_matrix",
+    "adequate_n_max", "displacement_matrix", "hermitian_sqrt", "parity_matrix",
     "single_mode_kernel", "smoothed_kernel_element",
     "GridSpec", "SweepResult",
-    "SkewEvaluator", "SymmetryRecord", "parity_variance", "pure_point_values",
-    "skew_information", "symmetry_sweep",
+    "SkewEvaluator", "SymmetryRecord", "pure_point_values", "symmetry_sweep",
     "CatParams", "StateVector", "cat_norm_general", "cat_norm_half",
     "cat_state", "density_from_vector", "dicke_vector", "spin_coherent_vector",
     "evaluate_grid", "preset_names", "read_csv", "run_preset",

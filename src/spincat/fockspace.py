@@ -41,10 +41,8 @@ __all__ = [
     "parity_matrix",
     "single_mode_kernel",
     "smoothed_kernel_element",
-    "displaced_parity_kernel",
     "hermitian_sqrt",
     "adequate_n_max",
-    "displacement_column_defect",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -331,17 +329,6 @@ class DensityMatrix:
         return d1, d2
 
 
-def displaced_parity_kernel(point, cutoff: FockCutoff) -> TwoModeOperator:
-    """Two-mode kernel Delta(alpha, beta) = Delta(alpha) (x) Delta(beta).
-
-    Hermitian; involutory on the untruncated space.  ``point`` is any object
-    with complex attributes ``alpha`` and ``beta`` (see wigner.PhasePoint).
-    """
-    k1 = single_mode_kernel(point.alpha, cutoff.n1_max)
-    k2 = single_mode_kernel(point.beta, cutoff.n2_max)
-    return TwoModeOperator(cutoff, np.kron(k1, k2))
-
-
 def _root_blocks(entries: np.ndarray, dim2: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The Hermitian PSD square root of a density matrix, block by block.
 
@@ -388,17 +375,6 @@ def hermitian_sqrt(rho: DensityMatrix) -> TwoModeOperator:
     for b, r in _root_blocks(rho.entries, rho.cutoff.dim2):
         root[np.ix_(b, b)] = r
     return TwoModeOperator(rho.cutoff, root)
-
-
-def displacement_column_defect(alpha: complex, n_max: int, q_max: int) -> float:
-    """Worst column-norm defect 1 - ||D(alpha)[:, q]|| over columns q <= q_max.
-
-    This is the trace mass the truncation pushes above n_max; it bounds the
-    error of kernel-mean quantities computed from those columns.
-    """
-    D = displacement_matrix(alpha, n_max, q_max + 1)
-    norms = np.linalg.norm(D, axis=0)
-    return float(np.max(1.0 - norms))
 
 
 def warn_if_truncated(rho: DensityMatrix, tol: float = 1e-6) -> None:

@@ -13,7 +13,10 @@ contraction) and rho = sum_i lam_i |i><i|, the chain
 holds at any truncation:
     Tr[(sqrt(rho) K)^2] = sum_ij sqrt(lam_i lam_j) |K_ij|^2 <= Tr[rho K^2] <= Tr rho,
     Tr[(sqrt(rho) K)^2] >= sum_i lam_i K_ii^2 >= W^2 (Cauchy-Schwarz, Tr rho <= 1).
-For pure states the budget saturates: I + W^2 = 1.
+For pure states the budget saturates: I + W^2 = 1.  A pure state needs
+neither root nor density matrix: pure_point_values takes W and I from psi
+and the kernel columns of its support, and it is the route of every pure W
+that a sweep writes (sweep.evaluate_grid, symmetry_sweep with pure_hint).
 
 Grids are evaluated mode by mode: Delta(alpha, beta) = Delta(alpha) (x)
 Delta(beta), and each distinct alpha (beta) gets its kernel block k on the
@@ -59,8 +62,6 @@ from .wigner import PhasePoint, _as_real
 __all__ = [
     "SymmetryRecord",
     "SkewEvaluator",
-    "parity_variance",
-    "skew_information",
     "pure_point_values",
     "symmetry_sweep",
 ]
@@ -124,6 +125,21 @@ def _kernel_stack(values, block: int) -> np.ndarray:
     for i, k_i in _kernel_blocks(values, block):
         k[i] = k_i
     return k
+
+
+def _audit(kind: str, coords: np.ndarray, column: str, written, reference) -> None:
+    """Raise ArithmeticError unless a written column is within AUDIT_TOL of
+    its reference at every point.  ``written`` and ``reference`` are (label,
+    values) pairs, and coords[i] is the (q1, p1, q2, p2) of values[i]; the
+    message names the worst point and both values."""
+    (name, ours), (ref_name, theirs) = written, reference
+    gap = np.abs(ours - theirs)
+    i = int(gap.argmax())
+    if gap[i] > AUDIT_TOL:
+        raise ArithmeticError(
+            f"{kind} audit failed at (q1, p1, q2, p2) = {tuple(coords[i].tolist())}: "
+            f"{name} {column}={ours[i]} vs {ref_name} {column}={theirs[i]}"
+        )
 
 
 def pure_point_values(psi: StateVector, point: PhasePoint):
@@ -237,33 +253,20 @@ class SkewEvaluator:
         p = a.reshape(d2 * d2, d1 * d1) @ a.transpose(0, 2, 1).reshape(d2 * d2, d1 * d1).T
         return np.einsum("bdfe,pdf,peb->p", p.reshape(d2, d2, d2, d2), k2, k2).real
 
-    def _batches(self, alphas, betas):
-        """(at, alpha, k1, k2) per distinct alpha: the indices of its points,
-        its kernel block, and the stacked blocks of those points' betas.  Each
-        distinct beta's block is built once; the alphas' chunk by chunk, so no
-        stack of all alpha blocks is held."""
+    def grid(self, alphas, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W, variance, skew) arrays at the points (alphas[i], betas[i]): one
+        values() call per distinct alpha.  Each distinct beta's kernel block
+        is built once; the alphas' chunk by chunk, so no stack of all alpha
+        blocks is held."""
+        alphas, betas = np.ravel(alphas), np.ravel(betas)
+        out = np.empty((3, alphas.size))
+        self._root  # the root's eigh before, not beside, a chunk of alpha blocks
         b_vals, b_idx = np.unique(betas, return_inverse=True)
         k2 = _kernel_stack(b_vals, self.d2)
         a_vals, groups = axis_groups(alphas)
         for i, k1 in _kernel_blocks(a_vals, self.d1):
-            yield groups[i], a_vals[i], k1, k2[b_idx[groups[i]]]
-
-    def kernel_means(self, alphas, betas) -> np.ndarray:
-        """W = Tr[rho Delta] at the points (alphas[i], betas[i])."""
-        alphas, betas = np.ravel(alphas), np.ravel(betas)
-        w = np.empty(alphas.size, dtype=complex)
-        for at, _, k1, k2 in self._batches(alphas, betas):
-            w[at] = self._contract(k1, k2)
-        return _as_real(w, "kernel mean")
-
-    def grid(self, alphas, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(W, variance, skew) arrays at the points (alphas[i], betas[i]): one
-        values() call per distinct alpha."""
-        alphas, betas = np.ravel(alphas), np.ravel(betas)
-        out = np.empty((3, alphas.size))
-        self._root  # the root's eigh before, not beside, a chunk of alpha blocks
-        for at, alpha, k1, k2 in self._batches(alphas, betas):
-            out[:, at] = self.values(PhasePoint(alpha, betas[at]), k2, k1)
+            at = groups[i]
+            out[:, at] = self.values(PhasePoint(a_vals[i], betas[at]), k2[b_idx[at]], k1)
         return out[0], out[1], out[2]
 
     def values(self, point: PhasePoint, mode2: np.ndarray | None = None,
@@ -291,29 +294,13 @@ class SkewEvaluator:
         return w, var, skew
 
 
-def parity_variance(rho: DensityMatrix, point: PhasePoint) -> float:
-    """Var(rho, Delta) = Tr rho - W^2, since Delta^2 = 1.
-
-    Computed by SkewEvaluator.values, so it raises where that does: for an
-    unphysical state or a skew below the clamp threshold.
-    """
-    return SkewEvaluator(rho).values(point)[1]
-
-
-def skew_information(rho: DensityMatrix, point: PhasePoint) -> float:
-    """One-shot commutator-definition skew information; for repeated points on
-    the same state use SkewEvaluator directly."""
-    return SkewEvaluator(rho).values(point)[2]
-
-
 def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False) -> list[SymmetryRecord]:
     """One SymmetryRecord per grid point, row-major over the grid axes.
 
-    With ``pure_hint`` the skew column is the fast path 1 - W^2, audited at
-    every grid point (tolerance AUDIT_TOL, on W and I) against one batched
-    pure_point_values call on rho's leading eigenvector; an audit failure
-    aborts, since it means the state was not actually pure or the truncation
-    is inadequate.
+    With ``pure_hint``, W comes from one batched pure_point_values call on
+    rho's leading eigenvector, and the skew column is 1 - W^2, audited at
+    every grid point (tolerance AUDIT_TOL) against that call's commutator I;
+    an audit failure aborts, since it means the truncation is inadequate.
     """
     alphas, betas = grid.amplitudes()
     engine = SkewEvaluator(rho)
@@ -321,18 +308,11 @@ def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False) -> list[Sy
         purity = rho.purity()
         if abs(purity - 1.0) > PURITY_TOL:
             raise ValueError(f"pure_hint set but purity is {purity}; state is not pure")
-        w = engine.kernel_means(alphas, betas)
-        skew, budget = 1.0 - w * w, np.ones_like(w)
         psi = StateVector(FockCutoff(engine.d1 - 1, engine.d2 - 1),
                           np.linalg.eigh(engine.block)[1][:, -1])
-        w_ref, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
-        gap = np.maximum(np.abs(w_ref - w), np.abs(skew_ref - skew))
-        i = int(gap.argmax())
-        if gap[i] > AUDIT_TOL:
-            raise ArithmeticError(
-                f"pure-path audit failed at {PhasePoint(alphas[i], betas[i])}: fast "
-                f"(W={w[i]}, I={skew[i]}) vs commutator (W={w_ref[i]}, I={skew_ref[i]})"
-            )
+        w, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
+        skew, budget = 1.0 - w * w, np.ones_like(w)
+        _audit("pure-path", grid.coordinates(), "I", ("fast", skew), ("commutator", skew_ref))
     else:
         w, _, skew = engine.grid(alphas, betas)
         budget = skew + w * w

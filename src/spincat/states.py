@@ -14,7 +14,7 @@ the e^(-i phi (j+m)) branch phase verbatim; no global-phase cleanup is applied
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lgamma
+from math import comb
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-12
-_EXACT_BINOM_LIMIT = 30  # exact integer binomials up to 2j = 30, log-space beyond
 
 
 def _check_half_integer(j: float) -> int:
@@ -97,40 +96,17 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _sqrt_binom(twoj: int, k: np.ndarray) -> np.ndarray:
-    if twoj <= _EXACT_BINOM_LIMIT:
-        return np.sqrt(np.array([float(comb(twoj, int(v))) for v in k]))
-    lg = lgamma(twoj + 1)
-    return np.exp(
-        0.5 * (lg - np.array([lgamma(v + 1) + lgamma(twoj - v + 1) for v in k]))
-    )
-
-
 def spin_coherent_amplitudes(j: float, theta: float, phi: float) -> np.ndarray:
     """Dicke amplitudes of |theta, phi, j>, indexed by k = j + m = 0..2j.
 
-    The expansion is normalized by construction (binomial theorem).
+    The expansion is normalized by construction (binomial theorem).  Each
+    magnitude is sqrt(binom(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k, with
+    the binomial taken as an exact integer before its one rounding to float.
     """
     twoj = _check_half_integer(j)
     k = np.arange(twoj + 1)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    if twoj <= _EXACT_BINOM_LIMIT:
-        mag = _sqrt_binom(twoj, k) * c ** (twoj - k) * s**k
-    else:
-        # log-space magnitudes; boundary angles handled by explicit zeroing
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logmag = (
-                np.log(_sqrt_binom(twoj, k))
-                + (twoj - k) * np.log(max(c, 1e-300))
-                + k * np.log(max(s, 1e-300))
-            )
-        mag = np.exp(logmag)
-        if c == 0.0:
-            mag[k != twoj] = 0.0
-            mag[twoj] = 1.0
-        if s == 0.0:
-            mag[k != 0] = 0.0
-            mag[0] = 1.0
+    mag = np.sqrt([float(comb(twoj, v)) for v in range(twoj + 1)]) * c ** (twoj - k) * s**k
     return mag * np.exp(-1j * phi * k)
 
 

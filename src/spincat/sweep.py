@@ -12,21 +12,25 @@ it stays below 1.  With the "gaussian" evaluator, W comes from the
 Gaussian-branch surrogate while I still belongs to the true state, so the
 budget column is diagnostic only.
 
-Pure W (closed form, or kernel_means for "kernel") and I = 1 - W^2 are
-audited at every point by one batched pure_point_values call.  Behind the
-channel, "closed" and "kernel" write the W that SkewEvaluator.grid returns
-with I, so I + W^2 <= Tr rho' holds from one rho'; for "closed",
-channel_wigner_convolution audits it at up to 7 points (_audit_noisy_w).
-An audit gap above skewinfo.AUDIT_TOL raises ArithmeticError; no audit
-draws random numbers.
+Without the channel, one batched pure_point_values call gives the true W at
+every point, from psi and its kernel blocks with no density matrix.
+"closed" and "kernel" write that W, and every evaluator writes
+I = 1 - W^2 from it, audited at every point against the same call's
+commutator I.  For "closed" the shell closed form (_closed_kernel_mean)
+audits W at every point; "kernel" and "gaussian" have no W audit.
+Behind the channel, "closed" and "kernel" write the W that
+SkewEvaluator.grid returns with I, so I + W^2 <= Tr rho' holds from one
+rho'; for "closed", channel_wigner_convolution audits it at up to 7 points
+(_audit_noisy_w).  An audit gap above skewinfo.AUDIT_TOL raises
+ArithmeticError (skewinfo._audit); no audit draws random numbers.
 
-The grid is evaluated in batches, never point by point: the closed form,
-the Gaussian-branch surrogate, the audits and the skew engine
+The grid is evaluated in batches, never point by point: the kernel-block
+route, the closed form, the Gaussian-branch surrogate and the skew engine
 (skewinfo.SkewEvaluator.grid) build their single-mode factors once per
-distinct alpha and per distinct beta.  The skew engine's kernel blocks on
-the state's support come from real displacement recurrences, one per distinct
-modulus, in chunks whose real blocks fit skewinfo.CHUNK_BYTES; the channel's
-closed-form Kraus maps need none.
+distinct alpha and per distinct beta.  Kernel blocks on the state's support
+come from real displacement recurrences, one per distinct modulus, in chunks
+whose real blocks fit skewinfo.CHUNK_BYTES; the channel's closed-form Kraus
+maps need none.
 
 CSV output is bit-deterministic on one machine at one BLAS thread count (a
 different thread count can change the last bit of I): a single
@@ -58,7 +62,7 @@ from . import __version__
 from .channel import ChannelParams, apply_channel_density, channel_wigner_convolution
 from .fockspace import warn_if_truncated
 from .grids import RECORD_COLUMNS, GridSpec, SweepResult
-from .skewinfo import AUDIT_TOL, SkewEvaluator, pure_point_values
+from .skewinfo import SkewEvaluator, _audit, pure_point_values
 from .states import CatParams, cat_state, density_from_vector
 from .wigner import (
     PhasePoint,
@@ -95,24 +99,15 @@ def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
     psi = cat_state(params)
     cutoff_used = psi.cutoff
     if channel is None:
-        if evaluator == "kernel":
-            kernel_mean = SkewEvaluator(density_from_vector(psi)).kernel_means(alphas, betas)
-        else:
-            if params.twoj > 1:
-                _require_interior_theta(params)
-            kernel_mean = _as_real(_closed_kernel_mean(params, alphas, betas),
-                                   "closed-form Wigner value")
+        if evaluator != "kernel" and params.twoj > 1:
+            _require_interior_theta(params)
+        kernel_mean, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
         skew = 1.0 - kernel_mean**2
-        # audit the pure-state fast path against the commutator route
-        w_ref, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
-        gap = np.maximum(np.abs(w_ref - kernel_mean), np.abs(skew_ref - skew))
-        i = int(gap.argmax())
-        if gap[i] > AUDIT_TOL:
-            raise ArithmeticError(
-                f"pure-state audit failed at (q1, p1, q2, p2) = {tuple(coords[i].tolist())}: "
-                f"fast (W={kernel_mean[i]}, I={skew[i]}) vs commutator "
-                f"(W={w_ref[i]}, I={skew_ref[i]})"
-            )
+        _audit("pure-state", coords, "I", ("fast", skew), ("commutator", skew_ref))
+        if evaluator == "closed":
+            w_closed = _as_real(_closed_kernel_mean(params, alphas, betas),
+                                "closed-form Wigner value")
+            _audit("pure-state", coords, "W", ("kernel", kernel_mean), ("closed-form", w_closed))
     else:
         rho = apply_channel_density(density_from_vector(psi), channel)
         kernel_mean, _, skew = SkewEvaluator(rho).grid(alphas, betas)
@@ -165,13 +160,7 @@ def _audit_noisy_w(params: CatParams, channel: ChannelParams, coords: np.ndarray
     at = np.array(sorted({*np.linspace(0, n - 1, min(n, 5)).astype(int).tolist(),
                           int(np.abs(alphas).argmax()), int(np.abs(betas).argmax())}))
     w_conv = channel_wigner_convolution(params, channel, PhasePoint(alphas[at], betas[at]))
-    gap = np.abs(w_conv - w[at])
-    i = int(gap.argmax())
-    if gap[i] > AUDIT_TOL:
-        raise ArithmeticError(
-            f"noisy audit failed at (q1, p1, q2, p2) = {tuple(coords[at[i]].tolist())}: "
-            f"engine W={w[at[i]]} vs convolution W={w_conv[i]}"
-        )
+    _audit("noisy", coords[at], "W", ("engine", w[at]), ("convolution", w_conv))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 * closed forms of the kernel mean Tr[rho Delta(alpha, beta)], built from
   exact displaced-parity matrix elements on the 2j shell.  They agree with
-  the brute-force kernel trace to rounding and obey |W| <= 1.  The batched
-  ``_closed_kernel_mean`` is the production evaluator;
+  the brute-force kernel trace to rounding at small j and obey |W| <= 1;
+  their error grows with j (4e-10 on fig2-q2 at j = 10).  The
+  batched ``_closed_kernel_mean`` audits the W that sweeps write (the
+  kernel-block W of skewinfo.pure_point_values for a pure state, the skew
+  engine's behind the channel, through channel_wigner_convolution);
   ``wigner_closed_general`` wraps it for one point, and the spin-1/2 formula
   ``wigner_closed_half`` stays as an oracle.
 

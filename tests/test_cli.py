@@ -146,6 +146,18 @@ class TestNumericalFailure:
         assert err.startswith("error: noisy audit failed at ") and err.count("\n") == 1
         assert "engine W=" in err and "convolution W=" in err
 
+    def test_closed_form_audit_exits_three(self, monkeypatch, capsys):
+        # a closed form off by 1e-6 fails the audit of the kernel-block W
+        import spincat.sweep
+
+        original = spincat.sweep._closed_kernel_mean
+        monkeypatch.setattr(spincat.sweep, "_closed_kernel_mean",
+                            lambda *args, **kwargs: original(*args, **kwargs) + 1e-6)
+        assert main(["preset", "fig2-q1", "--j", "1", "--out", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: pure-state audit failed at ") and err.count("\n") == 1
+        assert "kernel W=" in err and "closed-form W=" in err
+
     def test_pure_audit_leaves_no_silent_wrong_value(self, tmp_path):
         # the sweep must either exit 3 or write W that the commutator route
         # confirms to the audit tolerance at every point

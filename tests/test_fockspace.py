@@ -10,15 +10,12 @@ from spincat.fockspace import (
     FockCutoff,
     TwoModeOperator,
     adequate_n_max,
-    displacement_column_defect,
     displacement_matrix,
-    displaced_parity_kernel,
     hermitian_sqrt,
     parity_matrix,
     single_mode_kernel,
     smoothed_kernel_element,
 )
-from spincat.wigner import PhasePoint
 
 RNG = np.random.default_rng(1234)
 
@@ -106,7 +103,8 @@ class TestDisplacement:
     def test_adequate_cutoff_keeps_columns_normalized(self):
         for x, q in ((1.0, 0), (4.0, 2), (16.0, 4), (50.0, 8)):
             n_max = adequate_n_max(x, q)
-            defect = displacement_column_defect(np.sqrt(x), n_max, q)
+            columns = displacement_matrix(np.sqrt(x), n_max, q + 1)
+            defect = float(np.max(1.0 - np.linalg.norm(columns, axis=0)))
             assert defect < 1e-9, f"x={x} q={q}: defect {defect}"
 
     def test_accepts_cutoff_object(self):
@@ -267,22 +265,21 @@ class TestParity:
 
 
 class TestDisplacedParityKernel:
+    # the two-mode kernel Delta(alpha, beta) = Delta(alpha) (x) Delta(beta)
     def test_origin_is_parity_product(self):
-        cut = FockCutoff(4, 3)
-        k = displaced_parity_kernel(PhasePoint(0j, 0j), cut)
+        k = np.kron(single_mode_kernel(0j, 4), single_mode_kernel(0j, 3))
         expected = np.kron(parity_matrix(4), parity_matrix(3))
-        assert np.array_equal(k.entries, expected)
+        assert np.array_equal(k, expected)
 
     def test_vacuum_expectation(self):
-        cut = FockCutoff(3)
-        k = displaced_parity_kernel(PhasePoint(0j, 0j), cut)
-        assert k.entries[0, 0] == 1.0
+        k = np.kron(single_mode_kernel(0j, 3), single_mode_kernel(0j, 3))
+        assert k[0, 0] == 1.0
 
     def test_single_excitation_expectation(self):
         cut = FockCutoff(3)
-        k = displaced_parity_kernel(PhasePoint(0j, 0j), cut)
+        k = np.kron(single_mode_kernel(0j, 3), single_mode_kernel(0j, 3))
         idx = cut.index(1, 0)
-        assert k.entries[idx, idx] == -1.0
+        assert k[idx, idx] == -1.0
 
     def test_hermitian(self):
         for _ in range(5):

@@ -6,9 +6,7 @@ from spincat.fockspace import DensityMatrix, FockCutoff, adequate_n_max, single_
 from spincat.grids import GridSpec
 from spincat.skewinfo import (
     SkewEvaluator,
-    parity_variance,
     pure_point_values,
-    skew_information,
     symmetry_sweep,
 )
 from spincat.states import CatParams, StateVector, cat_state, density_from_vector, dicke_vector
@@ -42,25 +40,25 @@ def vacuum_density(n_max=2):
 
 class TestParityVariance:
     def test_vacuum_at_origin_is_zero(self):
-        assert parity_variance(vacuum_density(), PhasePoint(0j, 0j)) == pytest.approx(
+        assert SkewEvaluator(vacuum_density()).values(PhasePoint(0j, 0j))[1] == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_dicke_at_origin_is_zero(self):
         rho = density_from_vector(dicke_vector(0.5, -0.5, FockCutoff(1)))
-        assert parity_variance(rho, PhasePoint(0j, 0j)) == pytest.approx(0.0, abs=1e-12)
+        assert SkewEvaluator(rho).values(PhasePoint(0j, 0j))[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_cat_at_golden_point(self):
         rho = density_from_vector(cat_state(HALF_CAT))
         pt = PhasePoint(0.5 + 0j, 0.5 + 0j)
-        assert parity_variance(rho, pt) == pytest.approx(
+        assert SkewEvaluator(rho).values(pt)[1] == pytest.approx(
             1.0 - GOLDEN_HALF_CAT_05**2, abs=1e-8
         )
 
     def test_range(self):
         rho = density_from_vector(cat_state(random_params()))
         for _ in range(10):
-            v = parity_variance(rho, random_point())
+            v = SkewEvaluator(rho).values(random_point())[1]
             assert -1e-8 <= v <= 1.0 + 1e-8
 
 
@@ -77,7 +75,7 @@ class TestSkewInformationPure:
         for _ in range(5):
             pt = random_point(radius=1.5)
             _, skew_fast = pure_point_values(psi, pt)
-            assert skew_information(rho, pt) == pytest.approx(skew_fast, abs=1e-9)
+            assert SkewEvaluator(rho).values(pt)[2] == pytest.approx(skew_fast, abs=1e-9)
 
     def test_w_agrees_with_kernel_trace(self):
         psi = cat_state(random_params(j=1.5))
@@ -118,7 +116,7 @@ class TestSkewInformationMixed:
         m[cut.index(0, 1), cut.index(0, 1)] = 0.5
         m[cut.index(1, 0), cut.index(1, 0)] = 0.5
         rho = DensityMatrix(cut, m)
-        assert skew_information(rho, PhasePoint(0j, 0j)) <= 1e-10
+        assert SkewEvaluator(rho).values(PhasePoint(0j, 0j))[2] <= 1e-10
 
     def test_square_trace_post_channel_matches_mpmath(self):
         # Tr[(sqrt(rho') Delta)^2] at fig5a (j = 1, s = 1, q1 = -4) on the
@@ -145,7 +143,7 @@ class TestSkewInformationMixed:
         cut = FockCutoff(1, 0)
         rho = DensityMatrix(cut, np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(ValueError):
-            skew_information(rho, PhasePoint(0j, 0j))
+            SkewEvaluator(rho).values(PhasePoint(0j, 0j))
 
 
 class TestGridEngine:
@@ -211,15 +209,6 @@ class TestGridEngine:
         assert k.nbytes == 4 * 4 * 4 * 16
         for _, block in _kernel_blocks(values, 4):
             assert block.base is None
-
-    def test_kernel_means_equal_grid_w(self):
-        # kernel_means and grid take their blocks from one builder
-        rho = apply_channel_density(density_from_vector(cat_state(HALF_CAT)),
-                                    ChannelParams(1.0))
-        engine = SkewEvaluator(rho)
-        alphas = np.array([0.3 + 0.1j, -0.8j, 1.1, -0.8j, -0.4])
-        betas = np.array([0.2, -0.5 + 0.4j, 0.2, 0.0, -1.0])
-        assert np.array_equal(engine.kernel_means(alphas, betas), engine.grid(alphas, betas)[0])
 
     @pytest.mark.parametrize("preset", ["fig5a", "fig5g"])
     def test_noisy_budget_stays_within_trace(self, preset):
@@ -345,12 +334,19 @@ class TestSymmetrySweep:
             symmetry_sweep(mixed, grid, pure_hint=True)
 
     def test_pure_hint_audit_failure_is_arithmetic_error(self, monkeypatch):
+        # a commutator I off by 1e-6 at one point fails the audit of 1 - W^2
+        import spincat.skewinfo
+
+        def wrong_skew(psi, point):
+            w, skew = pure_point_values(psi, point)
+            skew[3] += 1e-6
+            return w, skew
+
+        monkeypatch.setattr(spincat.skewinfo, "pure_point_values", wrong_skew)
         rho = density_from_vector(cat_state(HALF_CAT))
-        wrong = SkewEvaluator.kernel_means
-        monkeypatch.setattr(SkewEvaluator, "kernel_means",
-                            lambda self, a, b: wrong(self, a, b) * 0.9)
         grid = GridSpec(axes=(("q1", -1.0, 1.0, 5),))
-        with pytest.raises(ArithmeticError, match="pure-path audit failed"):
+        with pytest.raises(ArithmeticError, match=r"pure-path audit failed at "
+                           r"\(q1, p1, q2, p2\) = \(0\.5, 0\.0, 0\.0, 0\.0\): fast I="):
             symmetry_sweep(rho, grid, pure_hint=True)
 
     def test_pure_hint_audits_against_leading_eigenvector(self, monkeypatch):

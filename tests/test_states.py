@@ -94,6 +94,21 @@ class TestSpinCoherent:
             amps = spin_coherent_amplitudes(j, RNG.uniform(0, np.pi), RNG.uniform(0, 2 * np.pi))
             assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("twoj", [1, 30, 31, 100])
+    def test_amplitudes_match_mpmath(self, twoj):
+        # one exact-binomial path for every 2j; the reference takes the same
+        # rounded cos(theta/2) and sin(theta/2), so only the path's own
+        # rounding shows
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for theta in (0.0, np.pi / 3, np.pi / 2, np.pi):
+                amps = spin_coherent_amplitudes(twoj / 2, theta, 0.0)
+                c, s = mp.mpf(np.cos(theta / 2)), mp.mpf(np.sin(theta / 2))
+                assert not amps.imag.any()
+                for k in range(twoj + 1):
+                    ref = mp.sqrt(mp.binomial(twoj, k)) * c ** (twoj - k) * s**k
+                    assert abs(amps[k].real - ref) <= 1e-16, (theta, k)
+
     def test_shell_support(self):
         for _ in range(10):
             j = float(RNG.choice([0.5, 1.0, 2.5]))

@@ -18,7 +18,13 @@ from spincat.sweep import (
     serialize_csv,
     serialize_json,
 )
-from spincat.wigner import PhasePoint, WignerConvention, wigner_closed_half, wigner_gaussian_half
+from spincat.wigner import (
+    PhasePoint,
+    WignerConvention,
+    wigner_closed_half,
+    wigner_gaussian_half,
+    wigner_kernel_trace,
+)
 
 HALF_CAT = CatParams(0.5, np.pi, 0.0, 0.0, 2 * np.pi)
 
@@ -168,8 +174,7 @@ class TestEvaluateGrid:
         res = evaluate_grid(HALF_CAT, grid, evaluator=evaluator, channel=ChannelParams(1.0))
         rho = apply_channel_density(density_from_vector(cat_state(HALF_CAT)),
                                     ChannelParams(1.0))
-        assert np.array_equal(res.column("W"),
-                              SkewEvaluator(rho).kernel_means(*grid.amplitudes()))
+        assert np.array_equal(res.column("W"), SkewEvaluator(rho).grid(*grid.amplitudes())[0])
 
     def test_noisy_sweep_audits_with_one_convolution_call(self, monkeypatch):
         # 9 points: records 0, 2, 4, 6, 8; the largest |alpha| is record 0
@@ -185,6 +190,35 @@ class TestEvaluateGrid:
         evaluate_grid(HALF_CAT, GridSpec(axes=(("q1", -3.0, 3.0, 9),)),
                       channel=ChannelParams(1.0))
         assert calls == [5]
+
+    def test_pure_closed_sweep_writes_the_kernel_block_w(self):
+        # fig2-q2 at j = 10: the shell closed form is off by 4e-10 at q2 = -3.1,
+        # the kernel-block W that the sweep writes by about 1e-17
+        res = run_preset("fig2-q2", j=10.0)
+        rho = density_from_vector(cat_state(CatParams(10.0, np.pi / 3, np.pi / 2, 0.0,
+                                                      2 * np.pi)))
+        for q2 in (-3.1, 3.1):
+            i = int(np.abs(res.column("q2") - q2).argmin())
+            pt = PhasePoint.from_quadratures(0.0, 0.0, res.column("q2")[i], 0.0)
+            assert abs(res.column("W")[i] - wigner_kernel_trace(rho, pt)) <= 1e-14
+
+    def test_pure_kernel_sweep_at_j50_matches_mpmath(self):
+        # mpmath values of the fig2 cat at j = 50 (perfbench/oracle.py, 50
+        # digits); a pure sweep builds no dense rho, which would take 1.7 GB
+        params = CatParams(50.0, np.pi / 3, np.pi / 2, 0.0, 2 * np.pi)
+        res = evaluate_grid(params, GridSpec(axes=(("q2", -4.0, 2.5, 2),)), evaluator="kernel")
+        ref = np.array([-4.380598144380998e-4, -6.804168634498246e-3])
+        assert np.abs(res.column("W") - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("evaluator", ["closed", "kernel", "gaussian"])
+    def test_pure_sweep_builds_no_density_matrix(self, monkeypatch, evaluator):
+        def refuse(psi):
+            raise AssertionError("a pure sweep built |psi><psi|")
+
+        monkeypatch.setattr(spincat.sweep, "density_from_vector", refuse)
+        res = evaluate_grid(HALF_CAT, GridSpec(axes=(("q1", -1.0, 1.0, 5),)),
+                            evaluator=evaluator)
+        assert res.records.shape == (5, 8)
 
     def test_density_convention_column(self):
         grid = GridSpec(axes=(("q1", 0.5, 0.5, 1),))

@@ -156,7 +156,8 @@ class TestClosedGeneral:
         )
 
     def test_large_spin_log_space_path(self):
-        # 2j = 50 exercises the log-space binomials and kernel elements
+        # 2j = 50 exercises the log-space kernel elements (the cat amplitudes
+        # take exact integer binomials at every 2j)
         p = CatParams(25.0, 1.1, 2.0, 0.3, 4.4)
         pt = PhasePoint(0.6 - 0.3j, -0.2 + 0.5j)
         rho = density_from_vector(cat_state(p))
