@@ -47,6 +47,7 @@ from .states import (
     spin_coherent_vector,
 )
 from .sweep import (
+    WignerConvention,
     evaluate_grid,
     preset_names,
     read_csv,
@@ -57,7 +58,6 @@ from .sweep import (
 from .wigner import (
     GaussianFormReport,
     PhasePoint,
-    WignerConvention,
     reconcile_gaussian_form,
     wigner_closed_general,
     wigner_closed_half,

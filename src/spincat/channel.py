@@ -20,7 +20,9 @@ Three routes to the post-channel Wigner function are provided and must agree:
   at order QUADRATURE_ORDER, one batched call over all nodes, existing purely
   as the independent oracle for the analytic route.
 
-Both Wigner routes take the form and its checks from wigner._form.
+Both Wigner routes take the form and its checks from wigner._form and
+return kernel means (or the surrogate); sweep.evaluate_grid applies the
+output convention.
 
 Quadrature scaling: the raw substitution z = sqrt(s) u makes Gauss-Hermite
 agonizingly slow for s >~ 1 because the integrand's own Gaussian envelope is
@@ -41,7 +43,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .fockspace import DensityMatrix, FockCutoff, _lgamma_prefix
 from .states import CatParams
-from .wigner import PhasePoint, WignerConvention, _as_real, _form
+from .wigner import PhasePoint, _as_real, _form
 
 __all__ = [
     "ChannelParams",
@@ -96,11 +98,11 @@ def gaussian_measure_nodes(s: float, order: int,
     return zs, ws
 
 
-def required_mode1_growth(s: float, tail: float = TAIL_TARGET) -> int:
+def required_mode1_growth(s: float) -> int:
     """Extra mode-1 levels needed so the channel's thermal tail mass stays
-    below ``tail``: the vacuum output spectrum is s^n / (1+s)^(n+1), whose
+    below TAIL_TARGET: the vacuum output spectrum is s^n / (1+s)^(n+1), whose
     mass above N is (s/(1+s))^(N+1)."""
-    return int(np.ceil(np.log(tail) / np.log(s / (1.0 + s)))) + 4
+    return int(np.ceil(np.log(TAIL_TARGET) / np.log(s / (1.0 + s)))) + 4
 
 
 def _apply_mode1(rho: DensityMatrix, ch: ChannelParams) -> DensityMatrix:
@@ -190,7 +192,6 @@ def apply_channel_density(rho: DensityMatrix, ch: ChannelParams) -> DensityMatri
 
 
 def channel_wigner_convolution(params: CatParams, ch: ChannelParams, point: PhasePoint,
-                               conv: WignerConvention = WignerConvention.KERNEL_MEAN,
                                form: str = "closed") -> float:
     """Post-channel Wigner value by exact Gaussian convolution of a closed form.
 
@@ -201,11 +202,10 @@ def channel_wigner_convolution(params: CatParams, ch: ChannelParams, point: Phas
     array; the grid engine evaluates a whole noisy sweep in one call.
     """
     w = _form(params, form)(params, point.alpha, point.beta, noise=ch.s)
-    return conv.factor * _as_real(w, f"convolved {form}-form value")
+    return _as_real(w, f"convolved {form}-form value")
 
 
 def channel_wigner_quadrature(params: CatParams, ch: ChannelParams, point: PhasePoint,
-                              conv: WignerConvention = WignerConvention.KERNEL_MEAN,
                               form: str = "closed") -> float:
     """Post-channel Wigner value by numerical integration of
     integral W(alpha - z, beta) dmu_s(z); the oracle for the analytic route.
@@ -213,4 +213,4 @@ def channel_wigner_quadrature(params: CatParams, ch: ChannelParams, point: Phase
     f = _form(params, form)
     zs, ws = gaussian_measure_nodes(ch.s, QUADRATURE_ORDER, envelope=2.0)
     vals = f(params, point.alpha - zs, point.beta)
-    return conv.factor * _as_real(complex(np.dot(ws, vals)), "quadrature Wigner value")
+    return _as_real(complex(np.dot(ws, vals)), "quadrature Wigner value")

@@ -15,13 +15,13 @@ from .grids import QUADRATURES, GridSpec
 from .states import CatParams
 from .sweep import (
     EVALUATORS,
+    WignerConvention,
     evaluate_grid,
     preset_names,
     run_preset,
     serialize_csv,
     serialize_json,
 )
-from .wigner import WignerConvention
 
 USAGE_EXIT = 2
 VIOLATION_EXIT = 1

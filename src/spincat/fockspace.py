@@ -51,6 +51,8 @@ EIG_FLOOR = -1e-10
 SQRT_EIG_ABORT = -1e-8
 # relative to a block's largest eigenvalue
 SQRT_EIG_FLOOR = 1e-14
+N_MAX_MARGIN = 5.0
+TAIL_WARN_TOL = 1e-6
 # lgamma(a + 1) for a < size, shared by every recurrence run
 _LGAMMA = np.zeros(0)
 
@@ -101,15 +103,15 @@ class FockCutoff:
         return self.n1_max >= twoj and self.n2_max >= twoj
 
 
-def adequate_n_max(x: float, q_max: int, margin: float = 5.0) -> int:
+def adequate_n_max(x: float, q_max: int) -> int:
     """Truncation that keeps column q <= q_max of D(gamma), |gamma|^2 = x,
     normalized to better than ~1e-10.
 
     Displaced number states live below roughly (sqrt(x) + sqrt(q))^2 photons
-    with super-exponential decay beyond; margin = 5 was calibrated to hold the
-    column-norm defect under 1e-10 for x <= 200, q <= 10.
+    with super-exponential decay beyond; N_MAX_MARGIN = 5 was calibrated to
+    hold the column-norm defect under 1e-10 for x <= 200, q <= 10.
     """
-    return int(np.ceil((np.sqrt(max(x, 0.0)) + np.sqrt(max(q_max, 0)) + margin) ** 2))
+    return int(np.ceil((np.sqrt(max(x, 0.0)) + np.sqrt(max(q_max, 0)) + N_MAX_MARGIN) ** 2))
 
 
 def _as_n_max(cutoff) -> int:
@@ -377,8 +379,8 @@ def hermitian_sqrt(rho: DensityMatrix) -> TwoModeOperator:
     return TwoModeOperator(rho.cutoff, root)
 
 
-def warn_if_truncated(rho: DensityMatrix, tol: float = 1e-6) -> None:
-    if rho.tail_defect > tol:
+def warn_if_truncated(rho: DensityMatrix) -> None:
+    if rho.tail_defect > TAIL_WARN_TOL:
         warnings.warn(
             f"state carries truncation tail defect {rho.tail_defect:.3e}; "
             "kernel-mean values may be off by that much",

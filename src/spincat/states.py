@@ -34,12 +34,17 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-12
+# float(comb(2j, j)) overflows from 2j = 1030 on
+MAX_TWOJ = 1029
 
 
 def _check_half_integer(j: float) -> int:
     twoj = int(round(2 * j))
     if twoj <= 0 or abs(2 * j - twoj) > 1e-9:
         raise ValueError(f"j must be a positive half-integer, got {j}")
+    if twoj > MAX_TWOJ:
+        raise ValueError(f"2j must be at most {MAX_TWOJ}, where binom(2j, j) still fits "
+                         f"a float; got j = {j}")
     return twoj
 
 

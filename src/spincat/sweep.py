@@ -5,12 +5,17 @@ channel) over a GridSpec and emits one record per point:
 
     q1, p1, q2, p2, W, W2, I, budget
 
-W is the Wigner value in the requested convention, I the skew information of
-the underlying state, budget = I + W^2.  For pure states evaluated in
+W is the Wigner value in the requested WignerConvention: KERNEL_MEAN writes
+Tr[rho Delta] (bounded by 1), as every wigner and channel function returns
+it; DENSITY multiplies it by 1/pi^2, normalizing the integral of W over
+dq1 dp1 dq2 dp2 to Tr[rho] = 1.  I is the skew information of the underlying
+state, budget = I + W^2.  For pure states evaluated in
 kernel-mean convention the budget column is identically 1; after the channel
 it stays below 1.  With the "gaussian" evaluator, W comes from the
-Gaussian-branch surrogate while I still belongs to the true state, so the
-budget column is diagnostic only.
+Gaussian-branch surrogate (one _gaussian_form call, at noise s behind the
+channel) while I still belongs to the true state, so the budget column is
+diagnostic only.  For "closed" and "gaussian" at 2j > 1, a theta on the
+boundary of ]0, pi[ is a ValueError before any state is built.
 
 Without the channel, one batched pure_point_values call gives the true W at
 every point, from psi and its kernel blocks with no density matrix.
@@ -50,6 +55,7 @@ reference.
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 from contextlib import contextmanager
@@ -66,7 +72,6 @@ from .skewinfo import SkewEvaluator, _audit, pure_point_values
 from .states import CatParams, cat_state, density_from_vector
 from .wigner import (
     PhasePoint,
-    WignerConvention,
     _as_real,
     _closed_kernel_mean,
     _gaussian_form,
@@ -75,6 +80,7 @@ from .wigner import (
 
 __all__ = [
     "EVALUATORS",
+    "WignerConvention",
     "evaluate_grid",
     "run_preset",
     "preset_names",
@@ -86,6 +92,17 @@ __all__ = [
 EVALUATORS = ("closed", "kernel", "gaussian")
 
 
+class WignerConvention(enum.Enum):
+    """Normalization of the written W column."""
+
+    KERNEL_MEAN = "kernel-mean"
+    DENSITY = "density"
+
+    @property
+    def factor(self) -> float:
+        return 1.0 if self is WignerConvention.KERNEL_MEAN else 1.0 / np.pi**2
+
+
 def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
                   conv: WignerConvention = WignerConvention.KERNEL_MEAN,
                   channel: ChannelParams | None = None,
@@ -93,38 +110,33 @@ def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
     """Evaluate W and skew information over a grid; see module docstring."""
     if evaluator not in EVALUATORS:
         raise ValueError(f"unknown evaluator {evaluator!r}; expected one of {EVALUATORS}")
+    if evaluator != "kernel" and params.twoj > 1:
+        _require_interior_theta(params)
     coords = grid.coordinates()
     alphas, betas = grid.amplitudes()
 
     psi = cat_state(params)
     cutoff_used = psi.cutoff
     if channel is None:
-        if evaluator != "kernel" and params.twoj > 1:
-            _require_interior_theta(params)
-        kernel_mean, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
-        skew = 1.0 - kernel_mean**2
+        w, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
+        skew = 1.0 - w**2
         _audit("pure-state", coords, "I", ("fast", skew), ("commutator", skew_ref))
         if evaluator == "closed":
             w_closed = _as_real(_closed_kernel_mean(params, alphas, betas),
                                 "closed-form Wigner value")
-            _audit("pure-state", coords, "W", ("kernel", kernel_mean), ("closed-form", w_closed))
+            _audit("pure-state", coords, "W", ("kernel", w), ("closed-form", w_closed))
     else:
         rho = apply_channel_density(density_from_vector(psi), channel)
-        kernel_mean, _, skew = SkewEvaluator(rho).grid(alphas, betas)
+        w, _, skew = SkewEvaluator(rho).grid(alphas, betas)
         if evaluator == "kernel":
             warn_if_truncated(rho)
         elif evaluator == "closed":
-            _audit_noisy_w(params, channel, coords, alphas, betas, kernel_mean)
+            _audit_noisy_w(params, channel, coords, alphas, betas, w)
         cutoff_used = rho.cutoff
-
-    if evaluator != "gaussian":
-        w = conv.factor * kernel_mean
-    elif channel is not None:
-        w = channel_wigner_convolution(params, channel, PhasePoint(alphas, betas), conv,
-                                       form="gaussian")
-    else:
-        w = conv.factor * _as_real(_gaussian_form(params, alphas, betas),
-                                   "Gaussian-form Wigner value")
+    if evaluator == "gaussian":
+        noise = 0.0 if channel is None else channel.s
+        w = _as_real(_gaussian_form(params, alphas, betas, noise), "Gaussian-form Wigner value")
+    w = conv.factor * w
 
     records = np.column_stack([coords, w, w**2, skew, skew + w**2])
     meta = {

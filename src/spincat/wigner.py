@@ -29,14 +29,12 @@
 ``_form`` picks one of the two batched evaluators by name ("closed" or
 "gaussian") after the checks the channel routes share.
 
-Two output conventions: KERNEL_MEAN returns the dimensionless expectation
-Tr[rho Delta] (bounded by 1); DENSITY multiplies by 1/pi^2, normalizing the
-integral of W over dq1 dp1 dq2 dp2 to Tr[rho] = 1.
+Every value returned here is a kernel mean (or the surrogate); the output
+convention is applied by sweep.evaluate_grid alone.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +46,10 @@ from .fockspace import (
     warn_if_truncated,
 )
 from .grids import axis_groups
-from .states import CatParams, cat_shell_amplitudes
+from .states import CatParams, cat_norm_half, cat_shell_amplitudes
 
 __all__ = [
     "PhasePoint",
-    "WignerConvention",
     "wigner_closed_half",
     "wigner_closed_general",
     "wigner_gaussian_half",
@@ -104,17 +101,6 @@ class PhasePoint:
         return (self.q1, self.p1, self.q2, self.p2)
 
 
-class WignerConvention(enum.Enum):
-    """Normalization of the returned Wigner value."""
-
-    KERNEL_MEAN = "kernel-mean"
-    DENSITY = "density"
-
-    @property
-    def factor(self) -> float:
-        return 1.0 if self is WignerConvention.KERNEL_MEAN else 1.0 / np.pi**2
-
-
 def _as_real(value, what: str):
     """Real part of a complex scalar (as float) or array, once its imaginary
     residue is checked against IMAG_RESIDUE_TOL."""
@@ -163,8 +149,7 @@ def _closed_kernel_mean(params: CatParams, alpha, beta, noise: float = 0.0) -> n
     return out.reshape(alpha.shape)
 
 
-def wigner_closed_half(params: CatParams, point: PhasePoint,
-                       conv: WignerConvention = WignerConvention.KERNEL_MEAN) -> float:
+def wigner_closed_half(params: CatParams, point: PhasePoint) -> float:
     """Closed-form kernel mean for a spin-1/2 cat.
 
     With c = cos(t1/2) + cos(t2/2), d = e^(-i p1) sin(t1/2) + e^(-i p2) sin(t2/2):
@@ -174,12 +159,10 @@ def wigner_closed_half(params: CatParams, point: PhasePoint,
                                        + 8 Re(c d* a b*) ]
 
     Accepts the full theta range [0, pi].  Agrees with the kernel trace to
-    rounding and obeys |W| <= 1 in kernel-mean convention.
+    rounding and obeys |W| <= 1.
     """
     if params.twoj != 1:
         raise ValueError(f"wigner_closed_half requires j = 1/2, got j = {params.j}")
-    from .states import cat_norm_half
-
     n = cat_norm_half(params)
     c = np.cos(params.theta1 / 2) + np.cos(params.theta2 / 2)
     d = np.exp(-1j * params.phi1) * np.sin(params.theta1 / 2) + np.exp(
@@ -192,16 +175,15 @@ def wigner_closed_half(params: CatParams, point: PhasePoint,
         + 8 * np.real(c * np.conj(d) * a * np.conj(b))
     )
     w = n**2 * np.exp(-2 * (abs(a) ** 2 + abs(b) ** 2)) * bracket
-    return conv.factor * float(w)
+    return float(w)
 
 
-def wigner_closed_general(params: CatParams, point: PhasePoint,
-                          conv: WignerConvention = WignerConvention.KERNEL_MEAN) -> float:
+def wigner_closed_general(params: CatParams, point: PhasePoint) -> float:
     """Closed-form kernel mean for a general spin-j cat (theta strictly inside
     ]0, pi[; use wigner_closed_half or the kernel trace on the boundary)."""
     _require_interior_theta(params)
     w = _closed_kernel_mean(params, point.alpha, point.beta)
-    return conv.factor * _as_real(w, "closed-form Wigner value")
+    return _as_real(w, "closed-form Wigner value")
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +224,7 @@ def _gaussian_form(params: CatParams, alpha, beta, noise: float = 0.0) -> np.nda
     return pairs[a_idx, b_idx].reshape(alpha.shape)
 
 
-def wigner_gaussian_half(params: CatParams, point: PhasePoint,
-                         conv: WignerConvention = WignerConvention.KERNEL_MEAN) -> float:
+def wigner_gaussian_half(params: CatParams, point: PhasePoint) -> float:
     """Four-term Gaussian-branch form for a spin-1/2 cat.
 
     The four terms are Gaussians centred where the Dicke components would sit
@@ -256,8 +237,6 @@ def wigner_gaussian_half(params: CatParams, point: PhasePoint,
     d = np.exp(-1j * params.phi1) * np.sin(params.theta1 / 2) + np.exp(
         -1j * params.phi2
     ) * np.sin(params.theta2 / 2)
-    from .states import cat_norm_half
-
     n = cat_norm_half(params)
     a, b = point.alpha, point.beta
     t1 = abs(c) ** 2 * np.exp(-2 * abs(a) ** 2) * np.exp(-2 * abs(1 - b) ** 2)
@@ -269,15 +248,14 @@ def wigner_gaussian_half(params: CatParams, point: PhasePoint,
     )
     t4 = abs(d) ** 2 * np.exp(-2 * abs(1 - a) ** 2) * np.exp(-2 * abs(b) ** 2)
     w = n**2 * (t1 + 2 * np.real(cross) + t4)
-    return conv.factor * float(w)
+    return float(w)
 
 
-def wigner_gaussian_general(params: CatParams, point: PhasePoint,
-                            conv: WignerConvention = WignerConvention.KERNEL_MEAN) -> float:
+def wigner_gaussian_general(params: CatParams, point: PhasePoint) -> float:
     """Gaussian-branch form for a general spin-j cat (theta inside ]0, pi[)."""
     _require_interior_theta(params)
     w = _gaussian_form(params, point.alpha, point.beta)
-    return conv.factor * _as_real(w, "Gaussian-form Wigner value")
+    return _as_real(w, "Gaussian-form Wigner value")
 
 
 def _form(params: CatParams, form: str):
@@ -300,21 +278,21 @@ def _form(params: CatParams, form: str):
 # brute-force kernel trace
 # ---------------------------------------------------------------------------
 
-def wigner_kernel_trace(rho: DensityMatrix, point: PhasePoint,
-                        conv: WignerConvention = WignerConvention.KERNEL_MEAN) -> float:
+def wigner_kernel_trace(rho: DensityMatrix, point: PhasePoint) -> float:
     """W = Tr[rho Delta(alpha, beta)] by direct contraction.
 
     Kernel entries are exact matrix elements on rho's stored block, so the
     result is exact for states genuinely supported inside their cutoff (any
     pure shell state); for channel outputs it is off by at most the recorded
-    tail defect, and a TruncationWarning fires when that exceeds 1e-8.
+    tail defect, and a TruncationWarning fires when that exceeds
+    fockspace.TAIL_WARN_TOL.
     """
     warn_if_truncated(rho)
     c = rho.cutoff
     k1 = single_mode_kernel(point.alpha, c.n1_max)
     k2 = single_mode_kernel(point.beta, c.n2_max)
     w = np.einsum("abxy,xa,yb->", rho.as_modes(), k1, k2, optimize=True)
-    return conv.factor * _as_real(w, "kernel-trace Wigner value")
+    return _as_real(w, "kernel-trace Wigner value")
 
 
 # ---------------------------------------------------------------------------

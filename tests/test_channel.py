@@ -157,7 +157,7 @@ class TestApplyChannelDensity:
             assert diff < 1e-6
 
     def test_inadequate_cutoff_aborts(self, monkeypatch):
-        monkeypatch.setattr(channel_mod, "required_mode1_growth", lambda s, tail=0: 1)
+        monkeypatch.setattr(channel_mod, "required_mode1_growth", lambda s: 1)
         rho = density_from_vector(cat_state(HALF_CAT))
         with pytest.raises(ArithmeticError, match="trace drift"):
             apply_channel_density(rho, ChannelParams(2.0))

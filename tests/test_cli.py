@@ -128,7 +128,7 @@ class TestNumericalFailure:
     def test_channel_trace_drift_exits_three(self, monkeypatch, capsys):
         import spincat.channel
 
-        monkeypatch.setattr(spincat.channel, "required_mode1_growth", lambda s, tail=0: 1)
+        monkeypatch.setattr(spincat.channel, "required_mode1_growth", lambda s: 1)
         assert main(["preset", "fig3a", "--out", "-"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: channel trace drift ") and err.count("\n") == 1
@@ -245,6 +245,46 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--j", "1/2"])
         assert exc.value.code == 2
+
+    def test_density_convention_flag(self, tmp_path):
+        from spincat.sweep import read_csv
+
+        args = ["sweep", "--j", "1", "--theta1", "pi/3", "--theta2", "pi/2",
+                "--phi1", "0", "--phi2", "2*pi", "--axes", "q1",
+                "--range", "-1,1", "--count", "5", "--channel-s", "1"]
+        assert main(args + ["--out", str(tmp_path / "km.csv")]) == 0
+        assert main(args + ["--convention", "density", "--out", str(tmp_path / "d.csv")]) == 0
+        (_, km), (meta, dens) = (read_csv(tmp_path / name) for name in ("km.csv", "d.csv"))
+        assert meta["convention"] == "density"
+        np.testing.assert_allclose(dens[:, 4], km[:, 4] / np.pi**2, rtol=1e-12)
+
+    def test_spin_beyond_binomial_range_is_usage_error(self, capsys):
+        code = main([
+            "sweep", "--j", "515", "--theta1", "pi/3", "--theta2", "pi/2",
+            "--phi1", "0", "--phi2", "0", "--axes", "q1",
+            "--range", "-1,1", "--count", "3", "--out", "-",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2j must be at most 1029") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("evaluator", ["closed", "gaussian"])
+    def test_noisy_boundary_theta_fails_before_channel(self, monkeypatch, capsys, evaluator):
+        import spincat.sweep
+
+        def refuse(*args):
+            raise AssertionError("the channel ran for a rejected theta")
+
+        monkeypatch.setattr(spincat.sweep, "apply_channel_density", refuse)
+        code = main([
+            "sweep", "--j", "1", "--theta1", "0", "--theta2", "pi/2",
+            "--phi1", "0", "--phi2", "0", "--axes", "q1", "--range", "-1,1",
+            "--count", "3", "--channel-s", "1", "--evaluator", evaluator, "--out", "-",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta1 = 0.0 lies on the boundary of ]0, pi[")
+        assert err.count("\n") == 1
 
     def test_gaussian_evaluator_flag(self, tmp_path):
         out = tmp_path / "g.csv"

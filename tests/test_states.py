@@ -37,6 +37,11 @@ class TestCatParams:
         with pytest.raises(ValueError):
             CatParams(0.5, 1.0, 1.0, 0.0, 7.0)
 
+    def test_rejects_spin_whose_binomials_overflow(self):
+        # float(comb(1030, 515)) overflows; 2j = 1029 is the largest accepted
+        with pytest.raises(ValueError, match="at most 1029"):
+            CatParams(515, np.pi / 3, np.pi / 2, 0.0, 0.0)
+
     def test_accepts_two_pi(self):
         CatParams(0.5, np.pi, 0.0, 0.0, 2 * np.pi)
 
@@ -93,6 +98,11 @@ class TestSpinCoherent:
         for j in (0.5, 2.0, 10.0, 25.0):
             amps = spin_coherent_amplitudes(j, RNG.uniform(0, np.pi), RNG.uniform(0, 2 * np.pi))
             assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
+
+    def test_largest_spin_is_finite_and_normalized(self):
+        amps = spin_coherent_amplitudes(514.5, np.pi / 3, 0.0)
+        assert np.all(np.isfinite(amps))
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("twoj", [1, 30, 31, 100])
     def test_amplitudes_match_mpmath(self, twoj):

@@ -11,6 +11,7 @@ from spincat.grids import RECORD_COLUMNS, GridSpec, SweepResult
 from spincat.skewinfo import SkewEvaluator
 from spincat.states import CatParams, cat_state, density_from_vector
 from spincat.sweep import (
+    WignerConvention,
     evaluate_grid,
     preset_names,
     read_csv,
@@ -20,7 +21,6 @@ from spincat.sweep import (
 )
 from spincat.wigner import (
     PhasePoint,
-    WignerConvention,
     wigner_closed_half,
     wigner_gaussian_half,
     wigner_kernel_trace,
@@ -220,11 +220,17 @@ class TestEvaluateGrid:
                             evaluator=evaluator)
         assert res.records.shape == (5, 8)
 
-    def test_density_convention_column(self):
-        grid = GridSpec(axes=(("q1", 0.5, 0.5, 1),))
-        km = evaluate_grid(HALF_CAT, grid, conv=WignerConvention.KERNEL_MEAN)
-        dens = evaluate_grid(HALF_CAT, grid, conv=WignerConvention.DENSITY)
-        assert dens.column("W")[0] == pytest.approx(km.column("W")[0] / np.pi**2, rel=1e-12)
+    @pytest.mark.parametrize("channel", [None, ChannelParams(1.0)], ids=["pure", "s=1"])
+    @pytest.mark.parametrize("evaluator", ["closed", "kernel", "gaussian"])
+    def test_density_convention_column(self, evaluator, channel):
+        grid = GridSpec(axes=(("q1", -1.0, 1.0, 5),), fixed={"q2": 0.5})
+        km, dens = (evaluate_grid(HALF_CAT, grid, evaluator=evaluator, conv=conv,
+                                  channel=channel)
+                    for conv in (WignerConvention.KERNEL_MEAN, WignerConvention.DENSITY))
+        assert np.all(km.column("W") != 0.0)
+        np.testing.assert_allclose(dens.column("W"), km.column("W") / np.pi**2, rtol=1e-12)
+        assert np.array_equal(dens.column("I"), km.column("I"))
+        assert dens.meta["convention"] == "density"
 
     def test_unknown_evaluator_rejected(self):
         grid = GridSpec(axes=(("q1", 0.0, 1.0, 2),))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from spincat.fockspace import FockCutoff, smoothed_kernel_element
 from spincat.states import CatParams, cat_state, density_from_vector, dicke_vector
 from spincat.wigner import (
     PhasePoint,
-    WignerConvention,
     _gaussian_form,
     reconcile_gaussian_form,
     wigner_closed_general,
@@ -89,12 +90,6 @@ class TestClosedHalf:
     def test_rejects_wrong_spin(self):
         with pytest.raises(ValueError):
             wigner_closed_half(CatParams(1.0, 1.0, 2.0, 0.0, 0.0), PhasePoint(0j, 0j))
-
-    def test_density_convention_scales_by_pi_squared(self):
-        pt = random_point()
-        km = wigner_closed_half(HALF_CAT, pt, WignerConvention.KERNEL_MEAN)
-        dens = wigner_closed_half(HALF_CAT, pt, WignerConvention.DENSITY)
-        assert dens == pytest.approx(km / np.pi**2, rel=1e-12)
 
 
 class TestClosedGeneral:
@@ -238,6 +233,18 @@ class TestKernelTrace:
         rho = DensityMatrix(cut, m, tail_defect=1e-4)
         with pytest.warns(TruncationWarning):
             wigner_kernel_trace(rho, PhasePoint(0j, 0j))
+
+    @pytest.mark.parametrize("tail,warns", [(5e-7, False), (2e-6, True)])
+    def test_warning_threshold(self, tail, warns):
+        from spincat.fockspace import TAIL_WARN_TOL, DensityMatrix, TruncationWarning
+
+        assert TAIL_WARN_TOL == 1e-6
+        rho = density_from_vector(cat_state(HALF_CAT))
+        rho = DensityMatrix(rho.cutoff, rho.entries, tail_defect=tail)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wigner_kernel_trace(rho, PhasePoint(0.5 + 0j, 0.5 + 0j))
+        assert [w.category for w in caught] == ([TruncationWarning] if warns else [])
 
     def test_value_independent_of_embedding_cutoff(self):
         # entries of the kernel block are exact matrix elements, so padding
