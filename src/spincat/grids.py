@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["QUADRATURES", "GridSpec", "SweepResult", "RECORD_COLUMNS", "axis_groups"]
+__all__ = ["QUADRATURES", "GridSpec", "SweepResult", "RECORD_COLUMNS", "axis_groups",
+           "stacked_and_looped"]
 
 QUADRATURES = ("q1", "p1", "q2", "p2")
 RECORD_COLUMNS = ("q1", "p1", "q2", "p2", "W", "W2", "I", "budget")
@@ -34,15 +36,19 @@ class GridSpec:
             if name in seen:
                 raise ValueError(f"axis {name!r} listed twice")
             seen.add(name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"axis {name!r} needs finite bounds, got [{lo}, {hi}]")
             if count < 1 or (count == 1 and lo != hi):
                 raise ValueError("axis count must be >= 2 (or 1 with lo == hi)")
             if count >= 2 and not lo < hi:
                 raise ValueError(f"axis {name!r} needs lo < hi, got [{lo}, {hi}]")
-        for name in self.fixed:
+        for name, value in self.fixed.items():
             if name not in QUADRATURES:
                 raise ValueError(f"unknown fixed quadrature {name!r}")
             if name in seen:
                 raise ValueError(f"{name!r} is both swept and fixed")
+            if not math.isfinite(value):
+                raise ValueError(f"fixed quadrature {name!r} must be finite, got {value}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -78,6 +84,19 @@ def axis_groups(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     order = np.argsort(inverse, kind="stable")
     bounds = np.searchsorted(inverse[order], np.arange(len(distinct) + 1))
     return distinct, [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def stacked_and_looped(mode1: tuple, mode2: tuple) -> tuple[tuple, tuple]:
+    """The two modes of a two-mode grid engine, ordered (stacked, looped).
+
+    Each mode is a tuple (values, ...) of its point values and whatever the
+    engine needs with them.  The engine stacks the per-value factors of one
+    mode and loops over the distinct values of the other, building one
+    factor at a time, so the stack holds the mode with fewer distinct values
+    (mode 2 on a tie).
+    """
+    return min((mode2, mode1), (mode1, mode2),
+               key=lambda pair: len(set(np.ravel(pair[0][0]).tolist())))
 
 
 @dataclass(frozen=True)

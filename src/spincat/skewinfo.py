@@ -55,7 +55,7 @@ from .fockspace import (
     adequate_n_max,
     single_mode_kernel,
 )
-from .grids import axis_groups
+from .grids import axis_groups, stacked_and_looped
 from .states import StateVector
 from .wigner import PhasePoint, _as_real
 
@@ -90,28 +90,37 @@ def _kernel_columns(alpha: complex, block: int) -> np.ndarray:
     return single_mode_kernel(alpha, adequate_n_max(4.0 * abs(alpha) ** 2, block - 1), block)
 
 
-def _kernel_blocks(values, block: int, rows: int | None = None):
+def _kernel_blocks(values, block: int, tall: bool = False):
     """(i, k) for every values[i]: k = Delta(values[i]) on levels < block.
 
     Moduli go in ascending order, one real single_mode_kernel call per chunk
     of them whose blocks fit CHUNK_BYTES; a value's phases are applied as it
-    is yielded.  With ``rows``, k is the pair [k, g] of shape (2, block,
+    is yielded.  With ``tall``, k is the pair [k, g] of shape (2, block,
     block), where g = c^H c is the Gram matrix of Delta's first block columns
-    c on levels < rows: the truncated block of Delta^2 = 1.  Each is built
-    from the real matrices of the modulus, and a phase pattern acts on the
-    pair as on k alone.
+    c, the truncated block of Delta^2 = 1.  A chunk's columns c reach the
+    rows that the adequate-cutoff rule gives its largest modulus, so chunks
+    of small moduli are short and hold more of them.  Each is built from the
+    real matrices of the modulus, and a phase pattern acts on the pair as on
+    k alone.
     """
     members = {}  # modulus: [(index, phase)], without numpy's float sort
     for i, v in enumerate(np.ravel(values).tolist()):
         members.setdefault(abs(v), []).append((i, atan2(v.imag, v.real)))
     moduli = sorted(members)
-    height = rows or block
-    per_chunk = max(1, CHUNK_BYTES // (height * block * 8))
+
+    def height(r):
+        return adequate_n_max(4.0 * r * r, block - 1) + 1 if tall else block
+
     levels = np.arange(block)
-    for lo in range(0, len(moduli), per_chunk):
-        chunk = moduli[lo:lo + per_chunk]
-        k = single_mode_kernel(np.array(chunk), height - 1, block)
-        if rows:
+    lo = 0
+    while lo < len(moduli):
+        hi = lo + 1
+        while hi < len(moduli) and (hi + 1 - lo) * height(moduli[hi]) * block * 8 <= CHUNK_BYTES:
+            hi += 1
+        chunk = moduli[lo:hi]
+        lo = hi
+        k = single_mode_kernel(np.array(chunk), height(chunk[-1]) - 1, block)
+        if tall:
             k = np.stack([k[:, :block], k.transpose(0, 2, 1) @ k], axis=1)
         for k_r, r in zip(k, chunk):
             for i, phi in members[r]:
@@ -150,8 +159,8 @@ def pure_point_values(psi: StateVector, point: PhasePoint):
     I = ||Delta psi||^2 - <psi|Delta|psi>^2, which needs only kernel columns
     over the state's support.  Every kernel entry is exact, so the only
     truncation error is the Fock tail of Delta psi; the columns of every
-    distinct alpha and beta are built once, at the one cutoff that the
-    adequate-cutoff rule gives the largest amplitude of the batch.  With k
+    distinct alpha and beta are built once, each chunk of them at the cutoff
+    that the adequate-cutoff rule gives its largest modulus.  With k
     the square block of a mode's columns c and g = c^H c their Gram matrix,
 
         W = sum (psi^H k1 psi)[y, z] k2[y, z],
@@ -164,22 +173,18 @@ def pure_point_values(psi: StateVector, point: PhasePoint):
     alphas, betas = np.broadcast_arrays(np.asarray(point.alpha, dtype=complex),
                                         np.asarray(point.beta, dtype=complex))
     alphas, betas = alphas.ravel(), betas.ravel()
-    reach = float(np.abs(np.concatenate([alphas, betas])).max())
-    rows = adequate_n_max(4.0 * reach**2, max(c.dim1, c.dim2) - 1) + 1
-    # the formulas are symmetric in the modes: stack the factors of the mode
-    # with fewer distinct values, and loop over the other
+    # the formulas are symmetric in the modes; psi4 has the looped mode's levels on rows
     psi4 = psi.amplitudes.reshape(c.dim1, c.dim2)
-    psi4, outer, inner = min((psi4, alphas, betas), (psi4.T, betas, alphas),
-                             key=lambda m: len(set(m[2].tolist())))
+    (inner, _), (outer, psi4) = stacked_and_looped((alphas, psi4), (betas, psi4.T))
     d_outer, d_inner = psi4.shape
     i_vals, i_idx = np.unique(inner, return_inverse=True)
     stack = np.empty((i_vals.size, 2, d_inner * d_inner), dtype=complex)
-    for i, pair in _kernel_blocks(i_vals, d_inner, rows):
+    for i, pair in _kernel_blocks(i_vals, d_inner, tall=True):
         stack[i] = pair.reshape(2, -1)
     out = np.empty((alphas.size, 2), dtype=complex)
     o_vals, groups = axis_groups(outer)
     psi4_h = psi4.conj().T
-    for i, pair in _kernel_blocks(o_vals, d_outer, rows):
+    for i, pair in _kernel_blocks(o_vals, d_outer, tall=True):
         sandwich = (psi4_h @ pair @ psi4).reshape(2, -1)
         out[groups[i]] = np.einsum("pkz,kz->pk", stack[i_idx[groups[i]]], sandwich)
     w = _as_real(out[:, 0], "kernel mean")

@@ -28,6 +28,7 @@ __all__ = [
     "spin_coherent_amplitudes",
     "cat_shell_amplitudes",
     "cat_norm_half",
+    "cat_branches_half",
     "cat_norm_general",
     "cat_state",
     "density_from_vector",
@@ -184,6 +185,17 @@ def cat_norm_half(params: CatParams) -> float:
             "state is undefined"
         )
     return float(nsq**-0.5)
+
+
+def cat_branches_half(params: CatParams) -> tuple[complex, complex]:
+    """Spin-1/2 branch sums (c, d) on the Dicke levels j + m = 0, 1, before
+    normalization: c = cos(t1/2) + cos(t2/2) and
+    d = e^(-i p1) sin(t1/2) + e^(-i p2) sin(t2/2)."""
+    c = np.cos(params.theta1 / 2) + np.cos(params.theta2 / 2)
+    d = np.exp(-1j * params.phi1) * np.sin(params.theta1 / 2) + np.exp(
+        -1j * params.phi2
+    ) * np.sin(params.theta2 / 2)
+    return c, d
 
 
 def cat_shell_amplitudes(params: CatParams) -> np.ndarray:

@@ -31,6 +31,7 @@ from .grids import GridSpec
 from .skewinfo import SkewEvaluator, _kernel_columns, pure_point_values, symmetry_sweep
 from .states import (
     CatParams,
+    cat_branches_half,
     cat_norm_general,
     cat_norm_half,
     cat_state,
@@ -240,10 +241,7 @@ def check_density_normalization(rng):
     params = CatParams(0.5, 2.0, 1.0, 0.5, 1.5)
     xs = np.linspace(-6.0, 6.0, 41)
     dx = xs[1] - xs[0]
-    c = np.array([np.cos(params.theta1 / 2) + np.cos(params.theta2 / 2),
-                  np.exp(-1j * params.phi1) * np.sin(params.theta1 / 2)
-                  + np.exp(-1j * params.phi2) * np.sin(params.theta2 / 2)])
-    c = c * cat_norm_half(params)
+    c = np.array(cat_branches_half(params)) * cat_norm_half(params)
     from .fockspace import smoothed_kernel_element
 
     k_int = np.zeros((2, 2), dtype=complex)  # plane integral of <p|Delta|q> / pi

@@ -45,8 +45,8 @@ from .fockspace import (
     smoothed_kernel_element,
     warn_if_truncated,
 )
-from .grids import axis_groups
-from .states import CatParams, cat_norm_half, cat_shell_amplitudes
+from .grids import axis_groups, stacked_and_looped
+from .states import CatParams, cat_branches_half, cat_norm_half, cat_shell_amplitudes
 
 __all__ = [
     "PhasePoint",
@@ -128,24 +128,40 @@ def _require_interior_theta(params: CatParams) -> None:
 def _closed_kernel_mean(params: CatParams, alpha, beta, noise: float = 0.0) -> np.ndarray:
     """Kernel mean W = sum_{n,m} c*_n c_m K1[n, m] K2[2j - n, 2j - m] over the
     2j shell, at the points (alpha[i], beta[i]) (they broadcast; 0-d for one
-    point).  The blocks K1 at alpha and K2 at beta (smoothed_kernel_element)
-    are built once per distinct value.  With noise > 0 the mode-1 element is
-    the Gaussian-smoothed one, which is exactly the kernel mean after a
-    random-displacement channel of strength ``noise`` on mode 1.
+    point).  With noise > 0 the mode-1 element is the Gaussian-smoothed one,
+    which is exactly the kernel mean after a random-displacement channel of
+    strength ``noise`` on mode 1.
+
+    Each distinct alpha gets one row of (2j+1)^2 entries c*_n c_m K1[n, m],
+    the weights folded in, and each distinct beta one row K2[2j - n, 2j - m]
+    (smoothed_kernel_element); W is the dot product of a point's two rows.
+    The rows of the mode with fewer distinct values are stacked, filled row
+    by row (grids.stacked_and_looped), and the other mode's rows are built
+    one at a time, each multiplied into the whole stack.  So the working set
+    is min(n_alpha, n_beta) + 1 rows, (2j+1)^2 complex entries each: two rows
+    on a one-axis slice, however many points it has.
     """
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=complex),
                                       np.asarray(beta, dtype=complex))
     twoj = params.twoj
     c = cat_shell_amplitudes(params)
-    weights = np.outer(c.conj(), c)
-    shell = range(twoj + 1)
-    b_vals, b_idx = np.unique(beta.ravel(), return_inverse=True)
-    k2 = np.array([[smoothed_kernel_element(twoj - n, twoj - m, b, 0.0)
-                    for n in shell for m in shell] for b in b_vals])
+    weights = np.outer(c.conj(), c).ravel()
+    pairs = [(n, m) for n in range(twoj + 1) for m in range(twoj + 1)]
+
+    def mode1_row(a):
+        return weights * np.array([smoothed_kernel_element(n, m, a, noise) for n, m in pairs])
+
+    def mode2_row(b):
+        return np.array([smoothed_kernel_element(twoj - n, twoj - m, b, 0.0) for n, m in pairs])
+
+    (s_pts, s_row), (l_pts, l_row) = stacked_and_looped((alpha, mode1_row), (beta, mode2_row))
+    s_vals, s_idx = np.unique(s_pts.ravel(), return_inverse=True)
+    stack = np.empty((s_vals.size, len(pairs)), dtype=complex)
+    for i, v in enumerate(s_vals):
+        stack[i] = s_row(v)
     out = np.empty(alpha.size, dtype=complex)
-    for a, at in zip(*axis_groups(alpha)):
-        k1 = np.array([smoothed_kernel_element(n, m, a, noise) for n in shell for m in shell])
-        out[at] = k2[b_idx[at]] @ (weights.ravel() * k1)
+    for v, at in zip(*axis_groups(l_pts)):
+        out[at] = (stack @ l_row(v))[s_idx[at]]
     return out.reshape(alpha.shape)
 
 
@@ -164,10 +180,7 @@ def wigner_closed_half(params: CatParams, point: PhasePoint) -> float:
     if params.twoj != 1:
         raise ValueError(f"wigner_closed_half requires j = 1/2, got j = {params.j}")
     n = cat_norm_half(params)
-    c = np.cos(params.theta1 / 2) + np.cos(params.theta2 / 2)
-    d = np.exp(-1j * params.phi1) * np.sin(params.theta1 / 2) + np.exp(
-        -1j * params.phi2
-    ) * np.sin(params.theta2 / 2)
+    c, d = cat_branches_half(params)
     a, b = point.alpha, point.beta
     bracket = (
         abs(c) ** 2 * (4 * abs(b) ** 2 - 1)
@@ -233,10 +246,7 @@ def wigner_gaussian_half(params: CatParams, point: PhasePoint) -> float:
     """
     if params.twoj != 1:
         raise ValueError(f"wigner_gaussian_half requires j = 1/2, got j = {params.j}")
-    c = np.cos(params.theta1 / 2) + np.cos(params.theta2 / 2)
-    d = np.exp(-1j * params.phi1) * np.sin(params.theta1 / 2) + np.exp(
-        -1j * params.phi2
-    ) * np.sin(params.theta2 / 2)
+    c, d = cat_branches_half(params)
     n = cat_norm_half(params)
     a, b = point.alpha, point.beta
     t1 = abs(c) ** 2 * np.exp(-2 * abs(a) ** 2) * np.exp(-2 * abs(1 - b) ** 2)

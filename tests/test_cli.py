@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,23 @@ class TestSweepCommand:
             "--out", "-",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--range", "-3,1e400"], "axis 'q1' needs finite bounds"),
+        (["--range", "-3,1", "--fixed", "p1=1e400"], "fixed quadrature 'p1' must be finite"),
+    ])
+    def test_non_finite_grid_value_is_usage_error(self, capsys, extra, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "sweep", "--j", "1", "--theta1", "pi/3", "--theta2", "pi/2",
+                "--phi1", "0", "--phi2", "0", "--axes", "q1", "--count", "5",
+                "--out", "-", *extra,
+            ])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
 
     def test_missing_arguments_exit_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import pytest
 from spincat.fockspace import FockCutoff
 from spincat.states import (
     CatParams,
+    cat_branches_half,
     cat_norm_general,
     cat_norm_half,
     cat_shell_amplitudes,
@@ -159,6 +160,15 @@ class TestNormalization:
             + spin_coherent_amplitudes(0.5, p.theta2, p.phi2)
         )
         assert cat_norm_half(p) == pytest.approx(1.0 / brute, abs=1e-12)
+
+    def test_half_branches_are_the_summed_amplitudes(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            t1, t2 = rng.uniform(0, np.pi, 2)
+            p = CatParams(0.5, t1, t2, *rng.uniform(0, 2 * np.pi, 2))
+            brute = (spin_coherent_amplitudes(0.5, p.theta1, p.phi1)
+                     + spin_coherent_amplitudes(0.5, p.theta2, p.phi2))
+            assert np.allclose(cat_branches_half(p), brute, atol=1e-15, rtol=0)
 
     def test_general_formula_against_vector_norm(self):
         p = CatParams(2.0, np.pi / 3, np.pi / 2, 0.0, 2 * np.pi)

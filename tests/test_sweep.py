@@ -7,7 +7,7 @@ import pytest
 
 import spincat.sweep
 from spincat.channel import ChannelParams, apply_channel_density
-from spincat.grids import RECORD_COLUMNS, GridSpec, SweepResult
+from spincat.grids import RECORD_COLUMNS, GridSpec, SweepResult, stacked_and_looped
 from spincat.skewinfo import SkewEvaluator
 from spincat.states import CatParams, cat_state, density_from_vector
 from spincat.sweep import (
@@ -104,6 +104,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(axes=(("q1", 1.0, 0.0, 5),))
 
+    @pytest.mark.parametrize("axes, fixed, named", [
+        ((("q1", -3.0, np.inf, 5),), {}, "axis 'q1'"),
+        ((("p2", np.nan, 1.0, 5),), {}, "axis 'p2'"),
+        ((("q1", -1.0, 1.0, 5),), {"p1": -np.inf}, "fixed quadrature 'p1'"),
+    ])
+    def test_rejects_non_finite_values(self, axes, fixed, named):
+        with pytest.raises(ValueError, match=named):
+            GridSpec(axes=axes, fixed=fixed)
+
     def test_rejects_single_count_with_span(self):
         with pytest.raises(ValueError):
             GridSpec(axes=(("q1", 0.0, 1.0, 1),))
@@ -132,6 +141,17 @@ class TestGridSpec:
         assert coords[:, 3] == pytest.approx([0, 1, 0, 1])
         assert coords[:, 2] == pytest.approx([0.3] * 4)
         assert coords[:, 1] == pytest.approx([0.0] * 4)
+
+
+class TestStackedAndLooped:
+    @pytest.mark.parametrize("mode1, mode2, stacked", [
+        ([1j, 1j, 1j], [0.5, 1.0, 2.0], 1),
+        ([0.5, 1.0, 2.0], [1j, 1j, 1j], 2),
+        ([0.5, 1.0], [2.0, 2.5], 2),
+    ])
+    def test_stacks_the_mode_with_fewer_distinct_values(self, mode1, mode2, stacked):
+        (_, first), (_, second) = stacked_and_looped((np.array(mode1), 1), (np.array(mode2), 2))
+        assert (first, second) == (stacked, 3 - stacked)
 
 
 class TestEvaluateGrid:

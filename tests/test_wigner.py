@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from spincat.fockspace import FockCutoff, smoothed_kernel_element
+from spincat.grids import GridSpec
 from spincat.states import CatParams, cat_state, density_from_vector, dicke_vector
 from spincat.wigner import (
     PhasePoint,
+    _closed_kernel_mean,
     _gaussian_form,
     reconcile_gaussian_form,
     wigner_closed_general,
@@ -159,6 +161,41 @@ class TestClosedGeneral:
         assert wigner_closed_general(p, pt) == pytest.approx(
             wigner_kernel_trace(rho, pt), abs=1e-8
         )
+
+
+class TestClosedKernelMean:
+    def test_slice_working_set_is_two_rows(self):
+        # fig2-q2's 201 points share one alpha: one stacked row and one row
+        # per beta at a time, not a stack of every beta's row
+        import tracemalloc
+
+        from spincat.sweep import PRESETS
+
+        params, _, grid = PRESETS["fig2-q2"].build(5.0, None)
+        alphas, betas = grid.amplitudes()
+        tracemalloc.start()
+        try:
+            _closed_kernel_mean(params, alphas, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2e6
+
+    @pytest.mark.parametrize("counts", [(5, 9), (9, 5)])
+    def test_same_values_whichever_mode_is_stacked(self, monkeypatch, counts):
+        # noise acts on mode 1, so it is covered both stacked and looped
+        import spincat.wigner
+
+        p = CatParams(1.5, **GENERAL_CAT)
+        grid = GridSpec(axes=(("q1", -2.0, 2.0, counts[0]), ("p2", -3.0, 1.0, counts[1])),
+                        fixed={"p1": 0.3, "q2": -0.4})
+        alphas, betas = grid.amplitudes()
+        values = [_closed_kernel_mean(p, alphas, betas, 0.7)]
+        for order in (lambda m1, m2: (m1, m2), lambda m1, m2: (m2, m1)):
+            monkeypatch.setattr(spincat.wigner, "stacked_and_looped", order)
+            values.append(_closed_kernel_mean(p, alphas, betas, 0.7))
+        for other in values[1:]:
+            np.testing.assert_allclose(other, values[0], rtol=0, atol=1e-15)
 
 
 class TestHandDerivedValues:
@@ -341,13 +378,9 @@ class TestNormalizationIntegral:
         # separable plane integrals per mode; rectangle rule on [-6, 6]^2 is
         # spectrally accurate for these Gaussians
         p = CatParams(0.5, 2.0, 1.0, 0.5, 1.5)
-        from spincat.states import cat_norm_half
+        from spincat.states import cat_branches_half, cat_norm_half
 
-        c = np.array([
-            np.cos(p.theta1 / 2) + np.cos(p.theta2 / 2),
-            np.exp(-1j * p.phi1) * np.sin(p.theta1 / 2)
-            + np.exp(-1j * p.phi2) * np.sin(p.theta2 / 2),
-        ]) * cat_norm_half(p)
+        c = np.array(cat_branches_half(p)) * cat_norm_half(p)
         xs = np.linspace(-6.0, 6.0, 41)
         dx = xs[1] - xs[0]
         k_int = np.zeros((2, 2), dtype=complex)
