@@ -26,11 +26,16 @@ state's support once.  With rho[a,b,x,y], S = sqrt(rho):
     Tr[(S Delta)^2] = sum P[b,d,f,e] k2[d,f] k2[e,b],
         P[b,d,f,e]  = sum_{a,c} A[a,b,d,c] A[c,f,e,a],  A[a,b,d,c] = sum_x S[a,b,x,d] k1[x,c].
 
-When sqrt(rho) has one block per total photon number N = n1 + n2, as for
-every state the package builds (a cat state lives on one shell, and the
-channel is phase-covariant on mode 1), S[a,b,x,d] vanishes unless
-x = a + b - d, so A is a gather, A[a,b,d,c] = S[a,b,a+b-d,d] k1[a+b-d,c],
-not a matrix product; a root that couples different N takes the product.
+With M the terms a < c and D those with a = c, P = M + M^T + D D^T: one
+product over the d1 (d1 + 1) / 2 pairs a <= c, and no transposed copy of A.
+When rho has one block per total photon number N = n1 + n2, as every state
+the package builds has (a cat state lives on one shell, and the channel is
+phase-covariant on mode 1), so does S: rho[a,b,x,d] and S[a,b,x,d] vanish
+unless x = a + b - d.  W then sums rho's N-band, m[b,d] =
+sum_a rho[a,b,a+b-d,d] k1[a+b-d,a], and the factors of P are gathers,
+A[a,b,d,c] = S[a,b,a+b-d,d] k1[a+b-d,c], with flat indices and root weights
+fixed once per state.  A rho that couples different N takes dense
+contractions on its support block instead.
 
 The rho and P contractions run once per distinct alpha, in one
 SkewEvaluator.values call for all of that alpha's points.  Since
@@ -211,52 +216,59 @@ class SkewEvaluator:
             rho.as_modes()[:d1, :d2, :d1, :d2].reshape(d1 * d2, d1 * d2))
         # Tr[rho Delta^2]: Delta^2 = 1, and its block on the support is the identity
         self.trace = float(self.block.trace().real)
-        # rows (b, y), columns (x, a): a product with f.ravel() sums rho[a,b,x,y] f[x,a]
-        self._rho_pairs = self.block.reshape(d1, d2, d1, d2).transpose(1, 3, 2, 0).reshape(
-            d2 * d2, d1 * d1)
         self.clamped_points = 0
 
     @cached_property
-    def _root(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """sqrt(rho) as S[a,b,x,d] on rows (b, d, a), for _square_trace.
+    def _root(self) -> tuple:
+        """(rows, band, (idx, wt)) for _pair_product and _kernel_mean.
 
-        When the root has one block per total photon number (_root_blocks),
-        row (b, d, a) reaches only column x = a + b - d, and the pair is
-        (s, x): the one entry s[(b, d, a)] = S[a,b,x,d] as a column, and the
-        index x, clipped into range where s is 0.  Otherwise (rows, None):
-        the dense rows, column x."""
+        A factor of P has rows j, the pairs (a, c) = (pa[j], pc[j]), a <= c,
+        and columns (b, d), and is src.flat[idx] * wt with src = k1 when
+        rows is None: the N-block case, where idx and wt fold in x and the
+        root entry, and band = (idx, wt) gathers rho[a,b,x,d] k1[x,a] on rows
+        a.  Otherwise rows holds the dense root rows (b, d, a), column x,
+        src = rows @ k1 is A itself, and band is None."""
         d1, d2 = self.d1, self.d2
+        pa, pc = np.triu_indices(d1)
+        half = np.where(pa == pc, 0.5, 1.0)[:, None]  # P = X + X^T counts a = c twice
         roots = _root_blocks(self.block, d2)
         if len(roots) != d1 + d2 - 1:  # one block couples different N
             (_, root), = roots
             rows = root.reshape(d1, d2, d1, d2).transpose(1, 3, 0, 2).reshape(d2 * d2 * d1, d1)
-            return rows, None
-        s = np.zeros((d2, d2, d1), dtype=complex)
+            bd = np.arange(d2 * d2) * d1 * d1
+            return rows, None, (np.stack([bd + (pa * d1 + pc)[:, None],
+                                          bd + (pc * d1 + pa)[:, None]]),
+                                np.stack([half, np.ones_like(half)]))
+        s = np.zeros((d1, d2, d2), dtype=complex)
         for b, r in roots:
             n1, n2 = np.divmod(b, d2)
-            s[n2[:, None], n2, n1[:, None]] = r  # r[p, q] = S[n1[p], n2[p], n1[q], n2[q]]
-        b, d, a = np.ogrid[:d2, :d2, :d1]
-        x = np.clip(a + b - d, 0, d1 - 1)
-        return s.reshape(-1, 1), x.ravel()
+            s[n1[:, None], n2[:, None], n2] = r  # r[p, q] = S[n1[p], n2[p], n1[q], n2[q]]
+        a, b, d = np.ogrid[:d1, :d2, :d2]
+        x = np.clip(a + b - d, 0, d1 - 1)  # s and the band are 0 where clipped
+        band = self.block.reshape(d1, d2, d1, d2)[a, b, x, d] * (x == a + b - d)
+        x, s = x.reshape(d1, -1), s.reshape(d1, -1)
+        return None, (x * d1 + a[:, 0], band.reshape(d1, -1)), (
+            np.stack([x[pa] * d1 + pc[:, None], x[pc] * d1 + pa[:, None]]),
+            np.stack([s[pa] * half, s[pc]]))
 
-    def _contract(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-        """sum rho[a,b,x,y] f1[x,a] f2[p][y,b] for every stacked f2[p]."""
-        m = (self._rho_pairs @ f1.ravel()).reshape(self.d2, self.d2)
-        return np.einsum("pyb,by->p", f2, m)
-
-    def _square_trace(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-        """Tr[(sqrt(rho) Delta)^2] for every stacked k2[p] at one alpha."""
+    def _kernel_mean(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+        """W = sum rho[a,b,x,y] k1[x,a] k2[p][y,b] for every stacked k2[p]."""
         d1, d2 = self.d1, self.d2
-        s, x = self._root
-        if x is None:
-            a = s @ k1
+        _, band, _ = self._root
+        if band is None:
+            m = np.einsum("abxy,xa->by", self.block.reshape(d1, d2, d1, d2), k1)
         else:
-            a = k1[x]
-            a *= s
-        a = a.reshape(d2 * d2, d1, d1)  # A[a,b,d,c] as [(b, d), a, c]
-        # P[(b, d), (f, e)] = sum_{a,c} A[a,b,d,c] A[c,f,e,a]
-        p = a.reshape(d2 * d2, d1 * d1) @ a.transpose(0, 2, 1).reshape(d2 * d2, d1 * d1).T
-        return np.einsum("bdfe,pdf,peb->p", p.reshape(d2, d2, d2, d2), k2, k2).real
+            m = (np.take(k1, band[0]) * band[1]).sum(axis=0).reshape(d2, d2)
+        return np.einsum("pyb,by->p", k2, m)
+
+    def _pair_product(self, k1: np.ndarray) -> np.ndarray:
+        """P[(b, d), (f, e)] = sum_{a,c} A[a,b,d,c] A[c,f,e,a] at one alpha, as
+        X + X^T with X = M + D D^T / 2 over the pairs a <= c."""
+        rows, _, (idx, wt) = self._root
+        g = np.take(k1 if rows is None else rows @ k1, idx)
+        g *= wt
+        x = g[0].T @ g[1]
+        return x + x.T
 
     def grid(self, alphas, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(W, variance, skew) arrays at the points (alphas[i], betas[i]): one
@@ -283,8 +295,9 @@ class SkewEvaluator:
         single = np.ndim(point.beta) == 0
         k2 = _kernel_stack(point.beta, self.d2) if mode2 is None else mode2
         k1 = _kernel_stack(point.alpha, self.d1)[0] if mode1 is None else mode1
-        w = _as_real(self._contract(k1, k2), "kernel mean")
-        skew = self.trace - self._square_trace(k1, k2)
+        w = _as_real(self._kernel_mean(k1, k2), "kernel mean")
+        p = self._pair_product(k1).reshape((self.d2,) * 4)
+        skew = self.trace - np.einsum("bdfe,pdf,peb->p", p, k2, k2).real
         if skew.min() < SKEW_CLAMP:
             raise ArithmeticError(
                 f"skew information {skew.min():.3e} below clamp threshold; increase "

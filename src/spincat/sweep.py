@@ -37,10 +37,11 @@ come from real displacement recurrences, one per distinct modulus, in chunks
 whose real blocks fit skewinfo.CHUNK_BYTES; the channel's closed-form Kraus
 maps need none.
 
-CSV output is bit-deterministic on one machine at one BLAS thread count (a
-different thread count can change the last bit of I): a single
-'# meta: {json}' comment line with sorted keys, a fixed header, and numbers
-rendered with 17 significant digits.
+CSV output is a single '# meta: {json}' comment line with sorted keys, a
+fixed header, and numbers rendered with 17 significant digits.  It is
+bit-deterministic on one machine at one BLAS thread count; a second OpenBLAS
+thread leaves fig5a at j = 1 and fig3a byte-identical, but moves the last bit
+of I in 11 of fig5e's 201 rows (see README).
 
 Both writers work in chunks of CHUNK_ROWS records, with one write call per
 chunk, so their working set does not grow with the grid.  Each distinct value
@@ -59,7 +60,7 @@ import enum
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -223,7 +224,7 @@ def _build_presets() -> dict[str, _Preset]:
             return half_params(j), None, _grid2(ax1, ax2, -2.0, 2.0, 101)
         p = _Preset(f"spin-1/2 cat, {ax1}-{ax2} plane in [-2,2]^2, others 0", build)
         presets[f"fig1{panel}"] = p
-        presets[f"fig1{twin}"] = _Preset(p.description + " (skew panel)", build)
+        presets[f"fig1{twin}"] = replace(p, description=p.description + " (skew panel)")
 
     # fig2: general-spin cat, 201-point slices over [-10, 10]; j selectable.
     for ax in ("q1", "p1", "q2", "p2"):
@@ -246,7 +247,7 @@ def _build_presets() -> dict[str, _Preset]:
             default_s=1.0,
         )
         presets[f"fig3{panel}"] = p
-        presets[f"fig3{twin}"] = _Preset(p.description + " (skew panel)", build)
+        presets[f"fig3{twin}"] = replace(p, description=p.description + " (skew panel)")
 
     # fig4: noise-strength study on 1-D slices, s selectable.
     for ax in ("q1", "p1", "q2", "p2"):
@@ -288,11 +289,16 @@ def run_preset(name: str, j: float | None = None, s: float | None = None,
                evaluator: str = "closed",
                conv: WignerConvention = WignerConvention.KERNEL_MEAN) -> SweepResult:
     """Run a named preset; fig2/fig5 accept a spin override, fig3/fig4/fig5 a
-    noise override.  Output is deterministic for a fixed configuration."""
+    noise override, and any other override raises ValueError.  Output is
+    deterministic for a fixed configuration."""
     try:
         preset = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
+    for label, value, default in (("spin j", j, preset.default_j),
+                                  ("noise strength s", s, preset.default_s)):
+        if value is not None and default is None:
+            raise ValueError(f"preset {name!r} takes no {label} override, got {value}")
     params, channel, grid = preset.build(j, s)
     return evaluate_grid(
         params, grid, evaluator=evaluator, conv=conv, channel=channel,

@@ -93,6 +93,37 @@ class TestPresetCommand:
         meta = json.loads(out.read_text().splitlines()[0][len("# meta: "):])
         assert meta["params"]["j"] == 2.5
 
+    @pytest.mark.parametrize("args, named", [
+        (["fig1a", "--j", "3"], "spin j"),
+        (["origin-check", "--j", "5"], "spin j"),
+        (["fig4-q1", "--j", "2"], "spin j"),
+        (["fig1a", "--channel-s", "1"], "noise strength s"),
+        (["fig2-q1", "--channel-s", "1"], "noise strength s"),
+    ])
+    def test_override_the_preset_does_not_take_is_usage_error(self, capsys, args, named):
+        assert main(["preset", *args, "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: preset {args[0]!r} takes no {named} override, got ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, key, value", [
+        (["fig2-q1", "--j", "2"], "params", 2.0),
+        (["fig5a", "--channel-s", "0.5"], "channel", {"s": 0.5}),
+    ])
+    def test_override_the_preset_takes_runs(self, tmp_path, args, key, value):
+        out = tmp_path / "o.csv"
+        assert main(["preset", *args, "--out", str(out)]) == 0
+        meta = json.loads(out.read_text().splitlines()[0][len("# meta: "):])
+        assert (meta[key]["j"] if key == "params" else meta[key]) == value
+
+    def test_skew_panels_take_the_same_overrides(self):
+        from spincat.sweep import PRESETS
+
+        for panel, twin in zip("abcd", "efgh"):
+            for fig in ("fig1", "fig3"):
+                a, b = PRESETS[fig + panel], PRESETS[fig + twin]
+                assert (a.default_j, a.default_s) == (b.default_j, b.default_s)
+
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 31.7 GiB for an array", "Unable to allocate 31.7 GiB for an array"),
         ("", "MemoryError"),
@@ -198,6 +229,23 @@ class TestPresetProcess:
         proc = subprocess.run([sys.executable, "-c", code, preset, str(tmp_path / "out.csv")],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
+
+
+    def test_csv_is_identical_at_one_and_two_blas_threads(self, tmp_path):
+        # fig5e is the known exception: its I moves in the last bit (README)
+        import spincat
+
+        code = ("import sys; from spincat.cli import main; "
+                "sys.exit(main(['preset', 'fig5a', '--j', '1', '--out', sys.argv[1] + '5a']) "
+                "or main(['preset', 'fig3a', '--out', sys.argv[1] + '3a']))")
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(spincat.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / threads)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        for preset in ("5a", "3a"):
+            assert (tmp_path / f"1{preset}").read_bytes() == (tmp_path / f"2{preset}").read_bytes()
 
 
 class TestSweepCommand:

@@ -31,6 +31,20 @@ def random_params(j=None):
                      RNG.uniform(0, 2 * np.pi), RNG.uniform(0, 2 * np.pi))
 
 
+def coherent_channel_state():
+    """A truncated |gamma> (x) |0> behind the s = 1 channel: unlike every
+    state the package builds, its root couples different N = n1 + n2."""
+    n = np.arange(9)
+    amp = (0.6 + 0.3j) ** n / np.sqrt([float(np.prod(n[1:k + 1])) for k in n])
+    psi = StateVector(FockCutoff(8, 0), amp / np.linalg.norm(amp))
+    return apply_channel_density(density_from_vector(psi), ChannelParams(1.0))
+
+
+def fig5e_state():
+    params, channel, _ = PRESETS["fig5e"].build(2.5, None)
+    return apply_channel_density(density_from_vector(cat_state(params)), channel)
+
+
 def vacuum_density(n_max=2):
     cut = FockCutoff(n_max)
     m = np.zeros((cut.dim, cut.dim), dtype=complex)
@@ -224,17 +238,14 @@ class TestGridEngine:
     def test_engine_matches_gram_kronecker_reference(self, preset, j):
         # reference: Tr[rho Delta^2] from the Gram matrices of tail-extended
         # kernel columns, and Kronecker products of the two modes' blocks.
-        # "coherent" is a truncated |gamma> (x) |0> behind the s = 1 channel:
-        # its root couples different N = n1 + n2, so the engine multiplies
-        # the dense root rows instead of gathering one entry per row
+        # "coherent" (coherent_channel_state) has a root that couples
+        # different N = n1 + n2, so the engine multiplies the dense root rows
+        # instead of gathering one entry per row
         from spincat.fockspace import hermitian_sqrt
         from spincat.skewinfo import _kernel_columns
 
         if preset == "coherent":
-            n = np.arange(9)
-            amp = (0.6 + 0.3j) ** n / np.sqrt([float(np.prod(n[1:k + 1])) for k in n])
-            psi = StateVector(FockCutoff(8, 0), amp / np.linalg.norm(amp))
-            rho = apply_channel_density(density_from_vector(psi), ChannelParams(1.0))
+            rho = coherent_channel_state()
             grid = GridSpec(axes=(("q1", -2.0, 2.0, 11), ("p2", -2.0, 2.0, 11)))
         else:
             params, channel, grid = PRESETS[preset].build(j, None)
@@ -257,9 +268,41 @@ class TestGridEngine:
             assert abs(var[i] - (t1 - w_ref**2)) < 1e-12
             assert abs(skew[i] - max(t1 - np.trace(sd @ sd).real, 0.0)) < 1e-12
 
-    @pytest.mark.parametrize("preset, j, limit_mb", [("fig3a", None, 4.0), ("fig5a", 1.0, 5.0)])
+    @pytest.mark.parametrize("state", [fig5e_state, coherent_channel_state])
+    def test_split_pair_product_equals_full_product(self, state):
+        # reference: A from the dense root rows, and P as one product over
+        # every (a, c) against a transposed copy of A
+        from spincat.fockspace import hermitian_sqrt
+        from spincat.skewinfo import _kernel_stack
+
+        engine = SkewEvaluator(state())
+        d1, d2 = engine.d1, engine.d2
+        root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), engine.block)).entries
+        rows = root.reshape(d1, d2, d1, d2).transpose(1, 3, 0, 2).reshape(d2 * d2 * d1, d1)
+        assert (engine._root[0] is None) == (state is fig5e_state)
+        for k1 in _kernel_stack(np.array([0.0, 0.7 - 1.1j, -2.4j]), d1):
+            a = (rows @ k1).reshape(d2 * d2, d1, d1)  # A[a,b,d,c] as [(b, d), a, c]
+            full = a.reshape(d2 * d2, -1) @ a.transpose(0, 2, 1).reshape(d2 * d2, -1).T
+            split = engine._pair_product(k1)
+            assert np.abs(split - full).max() <= 1e-15 * np.abs(full).max()
+
+    def test_band_kernel_mean_equals_dense_contraction(self):
+        from spincat.skewinfo import _kernel_stack
+
+        engine = SkewEvaluator(fig5e_state())
+        d1, d2 = engine.d1, engine.d2
+        assert engine._root[1] is not None
+        rho4 = engine.block.reshape(d1, d2, d1, d2)
+        k2 = _kernel_stack(np.array([0.0, 0.3 + 0.9j, -1.7]), d2)
+        for k1 in _kernel_stack(np.array([0.0, 0.7 - 1.1j, -2.4j]), d1):
+            dense = np.einsum("abxy,xa,pyb->p", rho4, k1, k2)
+            assert np.abs(engine._kernel_mean(k1, k2) - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("preset, j, limit_mb", [("fig3a", None, 4.0), ("fig5a", 1.0, 5.0),
+                                                  ("fig5e", 2.5, 7.5)])
     def test_grid_working_set_is_bounded(self, preset, j, limit_mb):
-        # alpha factors are built in CHUNK_BYTES chunks, never as one stack
+        # alpha factors are built in CHUNK_BYTES chunks, never as one stack;
+        # fig5e holds no transposed copy of rho or of the gathered factors
         import tracemalloc
 
         from spincat.sweep import PRESETS
