@@ -30,12 +30,7 @@ from .fockspace import (
     smoothed_kernel_element,
 )
 from .grids import GridSpec, SweepResult
-from .skewinfo import (
-    SkewEvaluator,
-    SymmetryRecord,
-    pure_point_values,
-    symmetry_sweep,
-)
+from .skewinfo import SkewEvaluator, pure_point_values
 from .states import (
     CatParams,
     StateVector,
@@ -74,7 +69,7 @@ __all__ = [
     "adequate_n_max", "displacement_matrix", "hermitian_sqrt", "parity_matrix",
     "single_mode_kernel", "smoothed_kernel_element",
     "GridSpec", "SweepResult",
-    "SkewEvaluator", "SymmetryRecord", "pure_point_values", "symmetry_sweep",
+    "SkewEvaluator", "pure_point_values",
     "CatParams", "StateVector", "cat_norm_general", "cat_norm_half",
     "cat_state", "density_from_vector", "dicke_vector", "spin_coherent_vector",
     "evaluate_grid", "preset_names", "read_csv", "run_preset",

@@ -111,6 +111,8 @@ def _parse_fixed(text: str) -> dict[str, float]:
         name = name.strip()
         if name not in QUADRATURES or not value:
             raise ValueError(f"bad fixed assignment {part!r}")
+        if name in fixed:
+            raise ValueError(f"fixed quadrature {name!r} assigned twice")
         fixed[name] = parse_angle(value)
     return fixed
 

@@ -16,7 +16,8 @@ holds at any truncation:
 For pure states the budget saturates: I + W^2 = 1.  A pure state needs
 neither root nor density matrix: pure_point_values takes W and I from psi
 and the kernel columns of its support, and it is the route of every pure W
-that a sweep writes (sweep.evaluate_grid, symmetry_sweep with pure_hint).
+that a sweep writes (sweep.evaluate_grid).  A density matrix, pure or mixed,
+takes one route: SkewEvaluator.grid, which SkewEvaluator.values fronts.
 
 Grids are evaluated mode by mode: Delta(alpha, beta) = Delta(alpha) (x)
 Delta(beta), and each distinct alpha (beta) gets its kernel block k on the
@@ -47,15 +48,14 @@ value is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from math import atan2
+from math import atan2, sqrt
 
 import numpy as np
 
 from .fockspace import (
+    N_MAX_MARGIN,
     DensityMatrix,
-    FockCutoff,
     _root_blocks,
     adequate_n_max,
     single_mode_kernel,
@@ -64,35 +64,29 @@ from .grids import axis_groups, stacked_and_looped
 from .states import StateVector
 from .wigner import PhasePoint, _as_real
 
-__all__ = [
-    "SymmetryRecord",
-    "SkewEvaluator",
-    "pure_point_values",
-    "symmetry_sweep",
-]
+__all__ = ["SkewEvaluator", "pure_point_values"]
 
 SKEW_CLAMP = -1e-9
-PURITY_TOL = 1e-10
 AUDIT_TOL = 1e-7
 # working-set budget of one chunk of real kernel blocks
 CHUNK_BYTES = 1 << 19
-
-
-@dataclass(frozen=True)
-class SymmetryRecord:
-    """Symmetry (W^2) and asymmetry (skew information) of one phase point."""
-
-    point: PhasePoint
-    w: float
-    w_squared: float
-    skew: float
-    budget: float  # skew + w_squared; <= Tr rho always, = 1 for pure states
+# largest |alpha| and |beta| that pure_point_values accepts (|q + i p| <= 141
+# per mode): a modulus r takes tall kernel columns of (2 r + sqrt(2j) + 5)^2 rows
+MAX_AMPLITUDE = 100.0
 
 
 def _kernel_columns(alpha: complex, block: int) -> np.ndarray:
     """First ``block`` columns of Delta(alpha), rows extended far enough that
     the neglected tail is below ~1e-10."""
     return single_mode_kernel(alpha, adequate_n_max(4.0 * abs(alpha) ** 2, block - 1), block)
+
+
+def _tall_bytes(r: float, block: int) -> float:
+    """Bytes of one modulus r's tall kernel columns, block real columns of
+    adequate_n_max(4 r^2, block - 1) + 1 rows, in floats that no finite r
+    overflows into an error."""
+    x = 2.0 * r + sqrt(block - 1) + N_MAX_MARGIN
+    return 8.0 * block * (x * x + 1.0)
 
 
 def _kernel_blocks(values, block: int, tall: bool = False):
@@ -173,11 +167,19 @@ def pure_point_values(psi: StateVector, point: PhasePoint):
 
     with psi as a matrix (rows n1, columns n2), so each point costs two dot
     products of length dim2^2 (dim1^2 with the modes' roles swapped).
+    A modulus above MAX_AMPLITUDE is a ValueError, raised before any column
+    is built.
     """
     c = psi.cutoff
     alphas, betas = np.broadcast_arrays(np.asarray(point.alpha, dtype=complex),
                                         np.asarray(point.beta, dtype=complex))
     alphas, betas = alphas.ravel(), betas.ravel()
+    for name, values, block in (("alpha", alphas, c.dim1), ("beta", betas, c.dim2)):
+        r = float(np.max(np.abs(values), initial=0.0))
+        if r > MAX_AMPLITUDE:
+            raise ValueError(
+                f"|{name}| = {r:.6g} exceeds skewinfo.MAX_AMPLITUDE = {MAX_AMPLITUDE:g}: its "
+                f"kernel columns would take {_tall_bytes(r, block) / 1e9:.3g} GB at block {block}")
     # the formulas are symmetric in the modes; psi4 has the looped mode's levels on rows
     psi4 = psi.amplitudes.reshape(c.dim1, c.dim2)
     (inner, _), (outer, psi4) = stacked_and_looped((alphas, psi4), (betas, psi4.T))
@@ -288,16 +290,19 @@ class SkewEvaluator:
 
     def values(self, point: PhasePoint, mode2: np.ndarray | None = None,
                mode1: np.ndarray | None = None):
-        """(W, variance, skew) at one phase point, as floats; as arrays for a
-        batch that shares one alpha (point.beta a 1-d array).  ``mode2``
-        passes in the stacked kernel blocks of point.beta and ``mode1`` the
-        block of point.alpha, as grid() builds them."""
-        single = np.ndim(point.beta) == 0
-        k2 = _kernel_stack(point.beta, self.d2) if mode2 is None else mode2
-        k1 = _kernel_stack(point.alpha, self.d1)[0] if mode1 is None else mode1
-        w = _as_real(self._kernel_mean(k1, k2), "kernel mean")
-        p = self._pair_product(k1).reshape((self.d2,) * 4)
-        skew = self.trace - np.einsum("bdfe,pdf,peb->p", p, k2, k2).real
+        """(W, variance, skew) at the points (point.alpha, point.beta), which
+        broadcast against each other and go through grid(): floats for one
+        point, 1-d arrays in C order for a batch.  grid() calls values() once
+        per distinct alpha, with ``mode1`` the kernel block of that alpha and
+        ``mode2`` the stacked blocks of point.beta, its betas."""
+        if mode1 is None and mode2 is None:
+            out = self.grid(*np.broadcast_arrays(point.alpha, point.beta))
+            if np.ndim(point.alpha) == np.ndim(point.beta) == 0:
+                return tuple(float(v[0]) for v in out)
+            return out
+        w = _as_real(self._kernel_mean(mode1, mode2), "kernel mean")
+        p = self._pair_product(mode1).reshape((self.d2,) * 4)
+        skew = self.trace - np.einsum("bdfe,pdf,peb->p", p, mode2, mode2).real
         if skew.min() < SKEW_CLAMP:
             raise ArithmeticError(
                 f"skew information {skew.min():.3e} below clamp threshold; increase "
@@ -306,34 +311,4 @@ class SkewEvaluator:
         negative = skew < 0.0
         self.clamped_points += int(negative.sum())
         skew[negative] = 0.0
-        var = self.trace - w * w
-        if single:
-            return float(w[0]), float(var[0]), float(skew[0])
-        return w, var, skew
-
-
-def symmetry_sweep(rho: DensityMatrix, grid, pure_hint: bool = False) -> list[SymmetryRecord]:
-    """One SymmetryRecord per grid point, row-major over the grid axes.
-
-    With ``pure_hint``, W comes from one batched pure_point_values call on
-    rho's leading eigenvector, and the skew column is 1 - W^2, audited at
-    every grid point (tolerance AUDIT_TOL) against that call's commutator I;
-    an audit failure aborts, since it means the truncation is inadequate.
-    """
-    alphas, betas = grid.amplitudes()
-    engine = SkewEvaluator(rho)
-    if pure_hint:
-        purity = rho.purity()
-        if abs(purity - 1.0) > PURITY_TOL:
-            raise ValueError(f"pure_hint set but purity is {purity}; state is not pure")
-        psi = StateVector(FockCutoff(engine.d1 - 1, engine.d2 - 1),
-                          np.linalg.eigh(engine.block)[1][:, -1])
-        w, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
-        skew, budget = 1.0 - w * w, np.ones_like(w)
-        _audit("pure-path", grid.coordinates(), "I", ("fast", skew), ("commutator", skew_ref))
-    else:
-        w, _, skew = engine.grid(alphas, betas)
-        budget = skew + w * w
-    return [SymmetryRecord(PhasePoint(a, b), wi, wi * wi, si, bi)
-            for a, b, wi, si, bi in zip(alphas.tolist(), betas.tolist(), w.tolist(),
-                                        skew.tolist(), budget.tolist())]
+        return w, self.trace - w * w, skew

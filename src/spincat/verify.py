@@ -28,7 +28,7 @@ from .fockspace import (
     single_mode_kernel,
 )
 from .grids import GridSpec
-from .skewinfo import SkewEvaluator, _kernel_columns, pure_point_values, symmetry_sweep
+from .skewinfo import SkewEvaluator, _kernel_columns, pure_point_values
 from .states import (
     CatParams,
     cat_branches_half,
@@ -429,15 +429,17 @@ def check_sweep_determinism(rng):
     return "repeated preset runs are byte-identical"
 
 
-def check_symmetry_sweep_budget(rng):
+def check_grid_budget(rng):
     params = _rand_params(rng, j=1.0)
-    grid = GridSpec(axes=(("q1", -1.5, 1.5, 7), ("q2", -1.5, 1.5, 7)))
+    alphas, betas = GridSpec(axes=(("q1", -1.5, 1.5, 7), ("q2", -1.5, 1.5, 7))).amplitudes()
     rho = density_from_vector(cat_state(params))
-    for rec in symmetry_sweep(rho, grid, pure_hint=True):
-        assert abs(rec.budget - 1.0) <= 1e-8
+    w, _, skew = SkewEvaluator(rho).grid(alphas, betas)
+    gap = np.abs(skew + w * w - 1.0).max()
+    assert gap <= 1e-8, f"pure budget off 1 by {gap:.3e}"
     post = apply_channel_density(rho, ChannelParams(1.0))
-    for rec in symmetry_sweep(post, grid, pure_hint=False):
-        assert rec.budget <= 1.0 + 1e-8
+    w, _, skew = SkewEvaluator(post).grid(alphas, betas)
+    top = (skew + w * w).max()
+    assert top <= 1.0 + 1e-8, f"post-channel budget {top} exceeds 1"
     return "pure budget = 1, post-channel budget <= 1 on a 7x7 grid"
 
 
@@ -467,7 +469,7 @@ CHECKS: list[tuple[str, Callable]] = [
     ("channel semigroup", check_semigroup),
     ("channel flattening", check_channel_flattening),
     ("sweep determinism", check_sweep_determinism),
-    ("symmetry sweep budgets", check_symmetry_sweep_budget),
+    ("engine grid budgets", check_grid_budget),
 ]
 
 

@@ -247,6 +247,15 @@ class TestPresetProcess:
         for preset in ("5a", "3a"):
             assert (tmp_path / f"1{preset}").read_bytes() == (tmp_path / f"2{preset}").read_bytes()
 
+    def test_python_dash_m_runs_the_cli(self):
+        import spincat
+
+        env = dict(os.environ, PYTHONPATH=str(Path(spincat.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "spincat", "preset", "origin-check"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1] == "q1,p1,q2,p2,W,W2,I,budget"
+
 
 class TestSweepCommand:
     def test_count_arithmetic(self, tmp_path):
@@ -289,6 +298,27 @@ class TestSweepCommand:
             "--out", "-",
         ])
         assert code == 2
+
+    def test_repeated_fixed_quadrature_is_usage_error(self, capsys):
+        code = main([
+            "sweep", "--j", "1", "--theta1", "1", "--theta2", "2",
+            "--phi1", "0", "--phi2", "0", "--axes", "q1",
+            "--range", "-1,1", "--count", "3", "--fixed", "p1=1,p1=2", "--out", "-",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: fixed quadrature 'p1' assigned twice\n"
+
+    def test_pure_range_beyond_max_amplitude_is_usage_error(self, capsys):
+        # refused before any kernel column is built, not by numpy's allocator
+        code = main([
+            "sweep", "--j", "1", "--theta1", "1", "--theta2", "2",
+            "--phi1", "0", "--phi2", "0", "--axes", "q1",
+            "--range", "-1e6,1e6", "--count", "3", "--evaluator", "kernel", "--out", "-",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: |alpha| = 707107 exceeds skewinfo.MAX_AMPLITUDE = 100: ")
+        assert err.endswith("GB at block 3\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("extra, named", [
         (["--range", "-3,1e400"], "axis 'q1' needs finite bounds"),

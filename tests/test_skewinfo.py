@@ -4,11 +4,7 @@ import pytest
 from spincat.channel import ChannelParams, apply_channel_density
 from spincat.fockspace import DensityMatrix, FockCutoff, adequate_n_max, single_mode_kernel
 from spincat.grids import GridSpec
-from spincat.skewinfo import (
-    SkewEvaluator,
-    pure_point_values,
-    symmetry_sweep,
-)
+from spincat.skewinfo import SkewEvaluator, pure_point_values
 from spincat.states import CatParams, StateVector, cat_state, density_from_vector, dicke_vector
 from spincat.sweep import PRESETS
 from spincat.wigner import PhasePoint, wigner_kernel_trace
@@ -340,84 +336,80 @@ class TestDuality:
             assert abs(di + dw2) / scale < 1e-4
 
 
-class TestSymmetrySweep:
+class TestDensityMatrixGrid:
     def test_pure_budget_saturates(self):
         rho = density_from_vector(cat_state(random_params(j=1.0)))
         grid = GridSpec(axes=(("q1", -1.0, 1.0, 5), ("q2", -1.0, 1.0, 5)))
-        records = symmetry_sweep(rho, grid, pure_hint=True)
-        assert len(records) == 25
-        for rec in records:
-            assert rec.budget == pytest.approx(1.0, abs=1e-8)
+        w, _, skew = SkewEvaluator(rho).grid(*grid.amplitudes())
+        assert w.shape == (25,)
+        assert np.abs(skew + w * w - 1.0).max() <= 1e-8
 
     def test_post_channel_budget_below_one(self):
         rho = apply_channel_density(
             density_from_vector(cat_state(HALF_CAT)), ChannelParams(1.0)
         )
         grid = GridSpec(axes=(("q1", -1.0, 1.0, 5),))
-        for rec in symmetry_sweep(rho, grid, pure_hint=False):
-            assert rec.budget <= 1.0 + 1e-8
-            assert rec.skew >= -1e-10
+        w, _, skew = SkewEvaluator(rho).grid(*grid.amplitudes())
+        assert (skew + w * w).max() <= 1.0 + 1e-8
+        assert skew.min() >= -1e-10
 
-    def test_single_point_grid_matches_point_operations(self):
+    def test_single_point_grid_matches_pure_point_values(self):
         psi = cat_state(HALF_CAT)
-        rho = density_from_vector(psi)
         grid = GridSpec(axes=(("q1", 0.7, 0.7, 1),), fixed={"q2": 0.7})
-        (rec,) = symmetry_sweep(rho, grid, pure_hint=True)
-        pt = PhasePoint.from_quadratures(0.7, 0.0, 0.7, 0.0)
-        w, skew = pure_point_values(psi, pt)
-        assert rec.w == pytest.approx(w, abs=1e-12)
-        assert rec.skew == pytest.approx(skew, abs=1e-7)
+        (w,), _, (skew,) = SkewEvaluator(density_from_vector(psi)).grid(*grid.amplitudes())
+        w_ref, skew_ref = pure_point_values(psi, PhasePoint.from_quadratures(0.7, 0.0, 0.7, 0.0))
+        assert w == pytest.approx(w_ref, abs=1e-12)
+        assert skew == pytest.approx(skew_ref, abs=1e-12)
 
-    def test_pure_hint_on_mixed_state_aborts(self):
-        mixed = apply_channel_density(
-            density_from_vector(cat_state(HALF_CAT)), ChannelParams(1.0)
-        )
-        grid = GridSpec(axes=(("q1", -1.0, 1.0, 5),))
-        with pytest.raises((ValueError, ArithmeticError)):
-            symmetry_sweep(mixed, grid, pure_hint=True)
+    def test_values_evaluates_each_alpha_of_a_batch(self):
+        # a batch of two alphas is two points, not the first alpha's floats
+        params, channel, _ = PRESETS["fig3a"].build(None, None)
+        engine = SkewEvaluator(apply_channel_density(density_from_vector(cat_state(params)),
+                                                     channel))
+        alphas = np.array([0.3, 0.9])
+        batch = engine.values(PhasePoint(alphas, 0.2))
+        for got, ref in zip(batch, engine.grid(alphas, np.full(2, 0.2))):
+            assert got.shape == (2,)
+            assert np.abs(got - ref).max() <= 1e-15
+        assert batch[2][1] == pytest.approx(0.51880320, abs=1e-8)
+        single = engine.values(PhasePoint(0.9, 0.2))
+        assert all(type(v) is float for v in single)
+        assert single == pytest.approx(tuple(v[1] for v in batch), abs=1e-15)
+        betas = np.array([[0.2, -0.4j], [1.1, 0.0]])
+        for got, ref in zip(engine.values(PhasePoint(0.3, betas)),
+                            engine.grid(np.full(4, 0.3), betas.ravel())):
+            assert np.abs(got - ref).max() <= 1e-15
 
-    def test_pure_hint_audit_failure_is_arithmetic_error(self, monkeypatch):
-        # a commutator I off by 1e-6 at one point fails the audit of 1 - W^2
-        import spincat.skewinfo
 
-        def wrong_skew(psi, point):
-            w, skew = pure_point_values(psi, point)
-            skew[3] += 1e-6
-            return w, skew
+class TestMaxAmplitude:
+    def test_estimate_at_q_1e4_names_amplitude_and_size(self):
+        # one modulus at |q1| = 1e4 needs about 2.0e8 rows of tall columns,
+        # 4.8 GB at block 3; the refusal must allocate none of it
+        import tracemalloc
 
-        monkeypatch.setattr(spincat.skewinfo, "pure_point_values", wrong_skew)
-        rho = density_from_vector(cat_state(HALF_CAT))
-        grid = GridSpec(axes=(("q1", -1.0, 1.0, 5),))
-        with pytest.raises(ArithmeticError, match=r"pure-path audit failed at "
-                           r"\(q1, p1, q2, p2\) = \(0\.5, 0\.0, 0\.0, 0\.0\): fast I="):
-            symmetry_sweep(rho, grid, pure_hint=True)
+        from spincat.skewinfo import _tall_bytes
 
-    def test_pure_hint_audits_against_leading_eigenvector(self, monkeypatch):
-        # the audit reference is the commutator route on rho's leading
-        # eigenvector, not the engine that produced the fast values
-        import spincat.skewinfo
+        r = 1e4 / np.sqrt(2)
+        rows = adequate_n_max(4 * r * r, 2) + 1
+        assert rows == pytest.approx(2.0e8, rel=1e-2)
+        assert _tall_bytes(r, 3) == pytest.approx(8 * 3 * rows, rel=1e-8)
+        psi = cat_state(random_params(j=1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^\|alpha\| = 7071\.07 exceeds skewinfo\."
+                               r"MAX_AMPLITUDE = 100: its kernel columns would take 4\.8 GB "
+                               r"at block 3$"):
+                pure_point_values(psi, PhasePoint.from_quadratures(1e4, 0.0, 0.5, 0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
-        rho = density_from_vector(cat_state(random_params(j=1.0)))
-        calls = []
+    def test_beta_at_the_limit_runs_and_beyond_it_is_refused(self):
+        from spincat.skewinfo import MAX_AMPLITUDE
 
-        def recording(psi, point):
-            calls.append(psi.amplitudes)
-            return pure_point_values(psi, point)
-
-        monkeypatch.setattr(spincat.skewinfo, "pure_point_values", recording)
-        monkeypatch.setattr(SkewEvaluator, "grid", None)
-        grid = GridSpec(axes=(("q1", -1.0, 1.0, 7),))
-        symmetry_sweep(rho, grid, pure_hint=True)
-        assert len(calls) == 1  # one batched call audits every point
-        block = SkewEvaluator(rho).block
-        for psi in calls:
-            assert np.abs(np.outer(psi, psi.conj()) - block).max() < 1e-12
-
-    def test_row_major_ordering(self):
-        rho = density_from_vector(cat_state(HALF_CAT))
-        grid = GridSpec(axes=(("q1", 0.0, 1.0, 2), ("q2", 0.0, 1.0, 3)))
-        pts = [rec.point.quadratures() for rec in symmetry_sweep(rho, grid, pure_hint=True)]
-        q1s = [p[0] for p in pts]
-        q2s = [p[2] for p in pts]
-        assert q1s == pytest.approx([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        assert q2s == pytest.approx([0.0, 0.5, 1.0, 0.0, 0.5, 1.0])
+        psi = cat_state(random_params(j=1.0))
+        w, skew = pure_point_values(psi, PhasePoint(0.1, MAX_AMPLITUDE * 1j))
+        assert abs(w) < 1e-12 and skew == pytest.approx(1.0, abs=1e-7)
+        with pytest.raises(ValueError, match=r"^\|beta\| = 100\.001 exceeds"):
+            pure_point_values(psi, PhasePoint(0.1, np.array([0.0, MAX_AMPLITUDE + 1e-3])))
