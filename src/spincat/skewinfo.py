@@ -13,11 +13,11 @@ contraction) and rho = sum_i lam_i |i><i|, the chain
 holds at any truncation:
     Tr[(sqrt(rho) K)^2] = sum_ij sqrt(lam_i lam_j) |K_ij|^2 <= Tr[rho K^2] <= Tr rho,
     Tr[(sqrt(rho) K)^2] >= sum_i lam_i K_ii^2 >= W^2 (Cauchy-Schwarz, Tr rho <= 1).
-For pure states the budget saturates: I + W^2 = 1.  A pure state needs
-neither root nor density matrix: pure_point_values takes W and I from psi
-and the kernel columns of its support, and it is the route of every pure W
-that a sweep writes (sweep.evaluate_grid).  A density matrix, pure or mixed,
-takes one route: SkewEvaluator.grid, which SkewEvaluator.values fronts.
+For pure states the budget saturates: I + W^2 = 1.  A pure cat state needs
+neither root nor density matrix: every pure W that a sweep writes is
+_shell_kernel_mean's, from square kernel blocks, and pure_point_values, the
+per-point commutator oracle, audits it from tall kernel columns.  A density
+matrix, pure or mixed, takes one route: SkewEvaluator.grid.
 
 Grids are evaluated mode by mode: Delta(alpha, beta) = Delta(alpha) (x)
 Delta(beta), and each distinct alpha (beta) gets its kernel block k on the
@@ -60,9 +60,9 @@ from .fockspace import (
     adequate_n_max,
     single_mode_kernel,
 )
-from .grids import axis_groups, stacked_and_looped
-from .states import StateVector
-from .wigner import PhasePoint, _as_real
+from .grids import axis_groups
+from .states import CatParams, StateVector
+from .wigner import PhasePoint, _as_real, _shell_sum
 
 __all__ = ["SkewEvaluator", "pure_point_values"]
 
@@ -70,8 +70,9 @@ SKEW_CLAMP = -1e-9
 AUDIT_TOL = 1e-7
 # working-set budget of one chunk of real kernel blocks
 CHUNK_BYTES = 1 << 19
-# largest |alpha| and |beta| that pure_point_values accepts (|q + i p| <= 141
-# per mode): a modulus r takes tall kernel columns of (2 r + sqrt(2j) + 5)^2 rows
+# largest |alpha| and |beta| of the oracle pure_point_values, and so of a pure
+# sweep, which audits its largest ones (|q + i p| <= 141 per mode): a modulus
+# r takes kernel columns of (2 r + sqrt(2j) + 5)^2 rows
 MAX_AMPLITUDE = 100.0
 
 
@@ -82,46 +83,29 @@ def _kernel_columns(alpha: complex, block: int) -> np.ndarray:
 
 
 def _tall_bytes(r: float, block: int) -> float:
-    """Bytes of one modulus r's tall kernel columns, block real columns of
-    adequate_n_max(4 r^2, block - 1) + 1 rows, in floats that no finite r
-    overflows into an error."""
+    """Bytes of one modulus r's kernel columns (_kernel_columns), block real
+    columns of adequate_n_max(4 r^2, block - 1) + 1 rows, in floats that no
+    finite r overflows into an error."""
     x = 2.0 * r + sqrt(block - 1) + N_MAX_MARGIN
     return 8.0 * block * (x * x + 1.0)
 
 
-def _kernel_blocks(values, block: int, tall: bool = False):
+def _kernel_blocks(values, block: int):
     """(i, k) for every values[i]: k = Delta(values[i]) on levels < block.
 
     Moduli go in ascending order, one real single_mode_kernel call per chunk
-    of them whose blocks fit CHUNK_BYTES; a value's phases are applied as it
-    is yielded.  With ``tall``, k is the pair [k, g] of shape (2, block,
-    block), where g = c^H c is the Gram matrix of Delta's first block columns
-    c, the truncated block of Delta^2 = 1.  A chunk's columns c reach the
-    rows that the adequate-cutoff rule gives its largest modulus, so chunks
-    of small moduli are short and hold more of them.  Each is built from the
-    real matrices of the modulus, and a phase pattern acts on the pair as on
-    k alone.
+    of CHUNK_BYTES // (8 block^2) of them (at least one); a value's phases
+    are applied as it is yielded.
     """
     members = {}  # modulus: [(index, phase)], without numpy's float sort
     for i, v in enumerate(np.ravel(values).tolist()):
         members.setdefault(abs(v), []).append((i, atan2(v.imag, v.real)))
     moduli = sorted(members)
-
-    def height(r):
-        return adequate_n_max(4.0 * r * r, block - 1) + 1 if tall else block
-
+    per_chunk = max(1, CHUNK_BYTES // (8 * block * block))
     levels = np.arange(block)
-    lo = 0
-    while lo < len(moduli):
-        hi = lo + 1
-        while hi < len(moduli) and (hi + 1 - lo) * height(moduli[hi]) * block * 8 <= CHUNK_BYTES:
-            hi += 1
-        chunk = moduli[lo:hi]
-        lo = hi
-        k = single_mode_kernel(np.array(chunk), height(chunk[-1]) - 1, block)
-        if tall:
-            k = np.stack([k[:, :block], k.transpose(0, 2, 1) @ k], axis=1)
-        for k_r, r in zip(k, chunk):
+    for lo in range(0, len(moduli), per_chunk):
+        chunk = moduli[lo:lo + per_chunk]
+        for k_r, r in zip(single_mode_kernel(np.array(chunk), block - 1, block), chunk):
             for i, phi in members[r]:
                 u = np.exp(1j * phi * levels)
                 yield i, u[:, None] * k_r * u.conj()
@@ -137,38 +121,42 @@ def _kernel_stack(values, block: int) -> np.ndarray:
 
 def _audit(kind: str, coords: np.ndarray, column: str, written, reference) -> None:
     """Raise ArithmeticError unless a written column is within AUDIT_TOL of
-    its reference at every point.  ``written`` and ``reference`` are (label,
-    values) pairs, and coords[i] is the (q1, p1, q2, p2) of values[i]; the
-    message names the worst point and both values."""
+    its reference at every point (a NaN fails).  ``written`` and ``reference``
+    are (label, values) pairs, and coords[i] is the (q1, p1, q2, p2) of
+    values[i]; the message names the worst point and both values."""
     (name, ours), (ref_name, theirs) = written, reference
     gap = np.abs(ours - theirs)
     i = int(gap.argmax())
-    if gap[i] > AUDIT_TOL:
+    if not gap[i] <= AUDIT_TOL:
         raise ArithmeticError(
             f"{kind} audit failed at (q1, p1, q2, p2) = {tuple(coords[i].tolist())}: "
             f"{name} {column}={ours[i]} vs {ref_name} {column}={theirs[i]}"
         )
 
 
+def _shell_kernel_mean(params: CatParams, alphas, betas) -> np.ndarray:
+    """Kernel mean of the pure cat state at the points (alphas[i], betas[i]),
+    1-d arrays: the shell sum (wigner._shell_sum) over the exact square
+    kernel blocks of its 2j + 1 levels (_kernel_blocks)."""
+    def blocks(values):
+        return _kernel_blocks(values, params.twoj + 1)
+
+    return _shell_sum(params, alphas, betas, blocks, blocks)
+
+
 def pure_point_values(psi: StateVector, point: PhasePoint):
     """(W, I) for a pure state from the commutator definition: floats for one
-    point, arrays for a batch (point.alpha and point.beta 1-d arrays).
+    point, arrays for a batch (point.alpha and point.beta broadcast).
 
     For rank-1 sqrt(rho) = rho the skew information reduces to
-    I = ||Delta psi||^2 - <psi|Delta|psi>^2, which needs only kernel columns
-    over the state's support.  Every kernel entry is exact, so the only
-    truncation error is the Fock tail of Delta psi; the columns of every
-    distinct alpha and beta are built once, each chunk of them at the cutoff
-    that the adequate-cutoff rule gives its largest modulus.  With k
-    the square block of a mode's columns c and g = c^H c their Gram matrix,
-
-        W = sum (psi^H k1 psi)[y, z] k2[y, z],
-        ||Delta psi||^2 = sum (psi^H g1 psi)[y, z] g2[y, z],
-
-    with psi as a matrix (rows n1, columns n2), so each point costs two dot
-    products of length dim2^2 (dim1^2 with the modes' roles swapped).
-    A modulus above MAX_AMPLITUDE is a ValueError, raised before any column
-    is built.
+    I = ||Delta psi||^2 - <psi|Delta|psi>^2.  Each point gets
+    Delta psi = c1 psi c2^T from its own kernel columns c1, c2 over the
+    state's support (_kernel_columns), psi as a matrix (rows n1, columns n2),
+    with the phases of alpha and beta moved onto psi so that the columns and
+    the products are real.  Every kernel entry is exact, so the only
+    truncation error is the Fock tail of Delta psi.  This is the per-point
+    oracle that pure sweeps audit against.  A modulus above MAX_AMPLITUDE is
+    a ValueError, raised before any column is built.
     """
     c = psi.cutoff
     alphas, betas = np.broadcast_arrays(np.asarray(point.alpha, dtype=complex),
@@ -180,22 +168,22 @@ def pure_point_values(psi: StateVector, point: PhasePoint):
             raise ValueError(
                 f"|{name}| = {r:.6g} exceeds skewinfo.MAX_AMPLITUDE = {MAX_AMPLITUDE:g}: its "
                 f"kernel columns would take {_tall_bytes(r, block) / 1e9:.3g} GB at block {block}")
-    # the formulas are symmetric in the modes; psi4 has the looped mode's levels on rows
     psi4 = psi.amplitudes.reshape(c.dim1, c.dim2)
-    (inner, _), (outer, psi4) = stacked_and_looped((alphas, psi4), (betas, psi4.T))
-    d_outer, d_inner = psi4.shape
-    i_vals, i_idx = np.unique(inner, return_inverse=True)
-    stack = np.empty((i_vals.size, 2, d_inner * d_inner), dtype=complex)
-    for i, pair in _kernel_blocks(i_vals, d_inner, tall=True):
-        stack[i] = pair.reshape(2, -1)
-    out = np.empty((alphas.size, 2), dtype=complex)
-    o_vals, groups = axis_groups(outer)
-    psi4_h = psi4.conj().T
-    for i, pair in _kernel_blocks(o_vals, d_outer, tall=True):
-        sandwich = (psi4_h @ pair @ psi4).reshape(2, -1)
-        out[groups[i]] = np.einsum("pkz,kz->pk", stack[i_idx[groups[i]]], sandwich)
-    w = _as_real(out[:, 0], "kernel mean")
-    skew = out[:, 1].real - w**2
+    n1, n2 = np.arange(c.dim1)[:, None], np.arange(c.dim2)
+    w = np.zeros(alphas.size, dtype=complex)
+    norm2 = np.zeros(alphas.size)
+    for i, (a, b) in enumerate(zip(alphas, betas)):
+        # Delta(r e^(i t)) = U Delta(r) U^H, U = diag(e^(i n t)): Delta psi =
+        # U1 y U2 with y = k1 phi k2^T, phi = U1^H psi U2^H, k1 and k2 the real
+        # columns of |alpha| and |beta|; y is taken per real part of phi
+        phi = psi4 * np.exp(-1j * (n1 * np.angle(a) + n2 * np.angle(b)))
+        k1, k2 = _kernel_columns(abs(a), c.dim1), _kernel_columns(abs(b), c.dim2)
+        for part, unit in ((phi.real, 1.0), (phi.imag, 1j)):
+            y = k1 @ part @ k2.T
+            w[i] += unit * np.vdot(phi, y[:c.dim1, :c.dim2])
+            norm2[i] += np.vdot(y, y)
+    w = _as_real(w, "kernel mean")
+    skew = norm2 - w**2
     if np.ndim(point.alpha) == np.ndim(point.beta) == 0:
         return float(w[0]), float(skew[0])
     return w, skew

@@ -17,25 +17,24 @@ channel) while I still belongs to the true state, so the budget column is
 diagnostic only.  For "closed" and "gaussian" at 2j > 1, a theta on the
 boundary of ]0, pi[ is a ValueError before any state is built.
 
-Without the channel, one batched pure_point_values call gives the true W at
-every point, from psi and its kernel blocks with no density matrix.
-"closed" and "kernel" write that W, and every evaluator writes
-I = 1 - W^2 from it, audited at every point against the same call's
-commutator I.  For "closed" the shell closed form (_closed_kernel_mean)
-audits W at every point; "kernel" and "gaussian" have no W audit.
-Behind the channel, "closed" and "kernel" write the W that
-SkewEvaluator.grid returns with I, so I + W^2 <= Tr rho' holds from one
-rho'; for "closed", channel_wigner_convolution audits it at up to 7 points
-(_audit_noisy_w).  An audit gap above skewinfo.AUDIT_TOL raises
-ArithmeticError (skewinfo._audit); no audit draws random numbers.
+Without the channel, W is skewinfo._shell_kernel_mean's, from the shell
+amplitudes and square kernel blocks, clipped to [-1, 1]; "closed" and
+"kernel" write it, and every evaluator writes I = 1 - W^2 >= 0 from it.
+pure_point_values, the commutator oracle, audits W and I at up to 7
+records (_audit_records); for "closed" the shell closed form
+(_closed_kernel_mean) audits W at every point.  Behind the channel, "closed"
+and "kernel" write the W that SkewEvaluator.grid returns with I, so
+I + W^2 <= Tr rho' holds from one rho'; for "closed",
+channel_wigner_convolution audits it at the same records.  An audit gap
+above skewinfo.AUDIT_TOL, or a NaN, raises ArithmeticError (skewinfo._audit).
 
-The grid is evaluated in batches, never point by point: the kernel-block
-route, the closed form, the Gaussian-branch surrogate and the skew engine
-(skewinfo.SkewEvaluator.grid) build their single-mode factors once per
-distinct alpha and per distinct beta.  Kernel blocks on the state's support
-come from real displacement recurrences, one per distinct modulus, in chunks
-whose real blocks fit skewinfo.CHUNK_BYTES; the channel's closed-form Kraus
-maps need none.
+Apart from the oracles on their few records, the grid is evaluated in
+batches: the square-block route, the closed form, the Gaussian-branch
+surrogate and the skew engine (skewinfo.SkewEvaluator.grid) build their
+single-mode factors once per distinct alpha and per distinct beta.  Kernel
+blocks on the state's support come from real displacement recurrences, one
+per distinct modulus, in chunks whose real blocks fit skewinfo.CHUNK_BYTES;
+the channel's closed-form Kraus maps need none.
 
 CSV output is a single '# meta: {json}' comment line with sorted keys, a
 fixed header, and numbers rendered with 17 significant digits.  It is
@@ -69,7 +68,7 @@ from . import __version__
 from .channel import ChannelParams, apply_channel_density, channel_wigner_convolution
 from .fockspace import warn_if_truncated
 from .grids import RECORD_COLUMNS, GridSpec, SweepResult
-from .skewinfo import SkewEvaluator, _audit, pure_point_values
+from .skewinfo import SkewEvaluator, _audit, _shell_kernel_mean, pure_point_values
 from .states import CatParams, cat_state, density_from_vector
 from .wigner import (
     PhasePoint,
@@ -118,10 +117,14 @@ def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
 
     psi = cat_state(params)
     cutoff_used = psi.cutoff
+    at = _audit_records(alphas, betas)
     if channel is None:
-        w, skew_ref = pure_point_values(psi, PhasePoint(alphas, betas))
+        w_ref, skew_ref = pure_point_values(psi, PhasePoint(alphas[at], betas[at]))
+        # |W| <= 1 exactly, so I = 1 - W^2 >= 0 and the budget is 1
+        w = np.clip(_as_real(_shell_kernel_mean(params, alphas, betas), "kernel mean"), -1.0, 1.0)
         skew = 1.0 - w**2
-        _audit("pure-state", coords, "I", ("fast", skew), ("commutator", skew_ref))
+        _audit("pure-state", coords[at], "W", ("kernel", w[at]), ("commutator", w_ref))
+        _audit("pure-state", coords[at], "I", ("fast", skew[at]), ("commutator", skew_ref))
         if evaluator == "closed":
             w_closed = _as_real(_closed_kernel_mean(params, alphas, betas),
                                 "closed-form Wigner value")
@@ -132,7 +135,8 @@ def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
         if evaluator == "kernel":
             warn_if_truncated(rho)
         elif evaluator == "closed":
-            _audit_noisy_w(params, channel, coords, alphas, betas, w)
+            w_conv = channel_wigner_convolution(params, channel, PhasePoint(alphas[at], betas[at]))
+            _audit("noisy", coords[at], "W", ("engine", w[at]), ("convolution", w_conv))
         cutoff_used = rho.cutoff
     if evaluator == "gaussian":
         noise = 0.0 if channel is None else channel.s
@@ -163,17 +167,13 @@ def evaluate_grid(params: CatParams, grid: GridSpec, evaluator: str = "closed",
     return SweepResult(meta=meta, records=records)
 
 
-def _audit_noisy_w(params: CatParams, channel: ChannelParams, coords: np.ndarray,
-                   alphas: np.ndarray, betas: np.ndarray, w: np.ndarray) -> None:
-    """Check the engine's noisy W against channel_wigner_convolution at 5
-    evenly spaced records and the records of largest |alpha| and |beta|,
-    where the truncation error peaks; ArithmeticError names the worst point
-    when it is off by more than AUDIT_TOL."""
-    n = len(w)
-    at = np.array(sorted({*np.linspace(0, n - 1, min(n, 5)).astype(int).tolist(),
-                          int(np.abs(alphas).argmax()), int(np.abs(betas).argmax())}))
-    w_conv = channel_wigner_convolution(params, channel, PhasePoint(alphas[at], betas[at]))
-    _audit("noisy", coords[at], "W", ("engine", w[at]), ("convolution", w_conv))
+def _audit_records(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """The records that a sweep's per-point audits check, ascending: 5 evenly
+    spaced ones and those of largest |alpha| and |beta|, where the
+    truncation error peaks."""
+    n = len(alphas)
+    return np.array(sorted({*np.linspace(0, n - 1, min(n, 5)).astype(int).tolist(),
+                            int(np.abs(alphas).argmax()), int(np.abs(betas).argmax())}))
 
 
 # ---------------------------------------------------------------------------

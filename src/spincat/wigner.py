@@ -5,7 +5,7 @@
   the brute-force kernel trace to rounding at small j and obey |W| <= 1;
   their error grows with j (4e-10 on fig2-q2 at j = 10).  The
   batched ``_closed_kernel_mean`` audits the W that sweeps write (the
-  kernel-block W of skewinfo.pure_point_values for a pure state, the skew
+  square-block W of skewinfo._shell_kernel_mean for a pure state, the skew
   engine's behind the channel, through channel_wigner_convolution);
   ``wigner_closed_general`` wraps it for one point, and the spin-1/2 formula
   ``wigner_closed_half`` stays as an oracle.
@@ -125,44 +125,53 @@ def _require_interior_theta(params: CatParams) -> None:
 # exact closed forms (kernel mean)
 # ---------------------------------------------------------------------------
 
-def _closed_kernel_mean(params: CatParams, alpha, beta, noise: float = 0.0) -> np.ndarray:
-    """Kernel mean W = sum_{n,m} c*_n c_m K1[n, m] K2[2j - n, 2j - m] over the
-    2j shell, at the points (alpha[i], beta[i]) (they broadcast; 0-d for one
-    point).  With noise > 0 the mode-1 element is the Gaussian-smoothed one,
-    which is exactly the kernel mean after a random-displacement channel of
-    strength ``noise`` on mode 1.
+def _shell_sum(params: CatParams, alphas, betas, blocks1, blocks2) -> np.ndarray:
+    """W = sum_{a,x} c*_a c_x K1[a, x] K2[n - a, n - x] over the 2j = n shell
+    (c = cat_shell_amplitudes) at the points (alphas[i], betas[i]), 1-d
+    arrays; blocks1(values) (blocks2) yields (i, K1 (K2) at values[i]).
 
-    Each distinct alpha gets one row of (2j+1)^2 entries c*_n c_m K1[n, m],
-    the weights folded in, and each distinct beta one row K2[2j - n, 2j - m]
-    (smoothed_kernel_element); W is the dot product of a point's two rows.
-    The rows of the mode with fewer distinct values are stacked, filled row
-    by row (grids.stacked_and_looped), and the other mode's rows are built
-    one at a time, each multiplied into the whole stack.  So the working set
-    is min(n_alpha, n_beta) + 1 rows, (2j+1)^2 complex entries each: two rows
-    on a one-axis slice, however many points it has.
+    A distinct alpha's row holds the (n + 1)^2 entries c*_a c_x K1[a, x], a
+    distinct beta's K2[n - a, n - x].  The rows of the mode with fewer
+    distinct values are stacked (grids.stacked_and_looped), the other's are
+    multiplied into the whole stack as they are yielded: on a grid, one dot
+    product per point, and a working set of the stack and one row.
+    """
+    d = params.twoj + 1
+    c = cat_shell_amplitudes(params)
+    weights = np.outer(c.conj(), c)
+    (s_pts, s_rows), (l_pts, l_rows) = stacked_and_looped(
+        (alphas, lambda v: ((i, (weights * k).ravel()) for i, k in blocks1(v))),
+        (betas, lambda v: ((i, k[::-1, ::-1].ravel()) for i, k in blocks2(v))))
+    s_vals, s_idx = np.unique(s_pts, return_inverse=True)
+    stack = np.empty((s_vals.size, d * d), dtype=complex)
+    for i, row in s_rows(s_vals):
+        stack[i] = row
+    out = np.empty(len(alphas), dtype=complex)
+    l_vals, groups = axis_groups(l_pts)
+    for i, row in l_rows(l_vals):
+        out[groups[i]] = (stack @ row)[s_idx[groups[i]]]
+    return out
+
+
+def _closed_kernel_mean(params: CatParams, alpha, beta, noise: float = 0.0) -> np.ndarray:
+    """Kernel mean W over the 2j shell (_shell_sum) at the points (alpha[i],
+    beta[i]) (they broadcast; 0-d for one point), from the closed-form
+    elements K[p, q] = smoothed_kernel_element(p, q, .).  With noise > 0 the
+    mode-1 element is the Gaussian-smoothed one, which is exactly the kernel
+    mean after a random-displacement channel of strength ``noise`` on mode 1.
     """
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=complex),
                                       np.asarray(beta, dtype=complex))
-    twoj = params.twoj
-    c = cat_shell_amplitudes(params)
-    weights = np.outer(c.conj(), c).ravel()
-    pairs = [(n, m) for n in range(twoj + 1) for m in range(twoj + 1)]
+    levels = range(params.twoj + 1)
 
-    def mode1_row(a):
-        return weights * np.array([smoothed_kernel_element(n, m, a, noise) for n, m in pairs])
+    def blocks(values, s):
+        for i, v in enumerate(values):
+            yield i, np.array([[smoothed_kernel_element(p, q, v, s) for q in levels]
+                               for p in levels])
 
-    def mode2_row(b):
-        return np.array([smoothed_kernel_element(twoj - n, twoj - m, b, 0.0) for n, m in pairs])
-
-    (s_pts, s_row), (l_pts, l_row) = stacked_and_looped((alpha, mode1_row), (beta, mode2_row))
-    s_vals, s_idx = np.unique(s_pts.ravel(), return_inverse=True)
-    stack = np.empty((s_vals.size, len(pairs)), dtype=complex)
-    for i, v in enumerate(s_vals):
-        stack[i] = s_row(v)
-    out = np.empty(alpha.size, dtype=complex)
-    for v, at in zip(*axis_groups(l_pts)):
-        out[at] = (stack @ l_row(v))[s_idx[at]]
-    return out.reshape(alpha.shape)
+    w = _shell_sum(params, alpha.ravel(), beta.ravel(), lambda v: blocks(v, noise),
+                   lambda v: blocks(v, 0.0))
+    return w.reshape(alpha.shape)
 
 
 def wigner_closed_half(params: CatParams, point: PhasePoint) -> float:

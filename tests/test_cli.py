@@ -190,6 +190,40 @@ class TestNumericalFailure:
         assert err.startswith("error: pure-state audit failed at ") and err.count("\n") == 1
         assert "kernel W=" in err and "closed-form W=" in err
 
+    @pytest.mark.parametrize("preset, target, fake, named", [
+        ("origin-check", "_closed_kernel_mean",
+         lambda params, alphas, betas: np.full(alphas.shape, np.nan),
+         "pure-state audit failed at "),
+        ("fig5a", "channel_wigner_convolution",
+         lambda params, channel, point: np.full(np.shape(point.alpha), np.nan),
+         "noisy audit failed at "),
+    ], ids=["closed-form", "convolution"])
+    def test_nan_reference_fails_its_audit(self, monkeypatch, capsys, preset, target, fake,
+                                           named):
+        # NaN compares False against the tolerance, so a gap test that only
+        # asks "above the tolerance?" lets it through
+        import spincat.sweep
+
+        monkeypatch.setattr(spincat.sweep, target, fake)
+        assert main(["preset", preset, "--out", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + named) and err.count("\n") == 1
+        assert "W=nan" in err
+
+    def test_commutator_w_audit_exits_three(self, monkeypatch, capsys):
+        # a kernel-block W off by 1e-6, with I = 1 - W^2 consistent with it,
+        # fails the audit against the per-point commutator oracle
+        import spincat.sweep
+
+        original = spincat.sweep._shell_kernel_mean
+        monkeypatch.setattr(spincat.sweep, "_shell_kernel_mean",
+                            lambda *args: original(*args) + 1e-6)
+        assert main(["preset", "fig2-q1", "--j", "1", "--evaluator", "kernel",
+                     "--out", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: pure-state audit failed at ") and err.count("\n") == 1
+        assert "kernel W=" in err and "commutator W=" in err
+
     def test_pure_audit_leaves_no_silent_wrong_value(self, tmp_path):
         # the sweep must either exit 3 or write W that the commutator route
         # confirms to the audit tolerance at every point
@@ -391,6 +425,31 @@ class TestSweepCommand:
             "--out", str(out),
         ])
         assert code == 0
+
+
+class TestPureBudget:
+    # |W| <= 1 holds exactly for a pure state; a W that rounds past it must
+    # not give a negative I
+    def test_origin_check_writes_exact_parity_budget(self, tmp_path):
+        from spincat.sweep import read_csv
+
+        out = tmp_path / "o.csv"
+        assert main(["preset", "origin-check", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0, 4:].tolist() == [-1.0, 1.0, 0.0, 1.0]
+
+    def test_sweep_origin_writes_exact_parity_budget(self, tmp_path):
+        from spincat.sweep import read_csv
+
+        out = tmp_path / "s.csv"
+        assert main([
+            "sweep", "--j", "1", "--theta1", "1", "--theta2", "2",
+            "--phi1", "0", "--phi2", "0", "--axes", "q1",
+            "--range", "-141,141", "--count", "3", "--out", str(out),
+        ]) == 0
+        _, rows = read_csv(out)
+        assert rows[1].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0]
+        assert (rows[:, 6] >= 0).all()
 
 
 class TestVerifyCommand:

@@ -413,3 +413,59 @@ class TestMaxAmplitude:
         assert abs(w) < 1e-12 and skew == pytest.approx(1.0, abs=1e-7)
         with pytest.raises(ValueError, match=r"^\|beta\| = 100\.001 exceeds"):
             pure_point_values(psi, PhasePoint(0.1, np.array([0.0, MAX_AMPLITUDE + 1e-3])))
+
+
+class TestShellKernelMean:
+    @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 50.0])
+    def test_matches_commutator_oracle(self, j):
+        # complex shell amplitudes (random phi) at complex points, all
+        # distinct, so each alpha and beta is its own group
+        from spincat.skewinfo import _shell_kernel_mean
+
+        params = random_params(j=j)
+        points = [random_point() for _ in range(6)]
+        alphas = np.array([pt.alpha for pt in points])
+        betas = np.array([pt.beta for pt in points])
+        w = _shell_kernel_mean(params, alphas, betas)
+        w_ref, _ = pure_point_values(cat_state(params), PhasePoint(alphas, betas))
+        assert np.abs(w - w_ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("axes, fixed, stacked", [
+        ((("q1", -3.0, 3.0, 7),), {"p1": 0.4, "p2": -0.6}, "beta"),
+        ((("q2", -3.0, 3.0, 7),), {"p1": 0.4, "p2": -0.6}, "alpha"),
+        ((("q1", -2.0, 2.0, 3), ("p2", -1.5, 1.5, 5)), {"q2": 0.7}, "alpha"),
+    ], ids=["q1-slice", "q2-slice", "surface"])
+    def test_either_mode_stacked(self, axes, fixed, stacked):
+        from spincat.grids import stacked_and_looped
+        from spincat.skewinfo import _shell_kernel_mean
+
+        params = random_params(j=2.5)
+        alphas, betas = GridSpec(axes=axes, fixed=fixed).amplitudes()
+        (first, _), _ = stacked_and_looped((alphas, "alpha"), (betas, "beta"))
+        assert first is (alphas if stacked == "alpha" else betas)
+        w = _shell_kernel_mean(params, alphas, betas)
+        w_ref, _ = pure_point_values(cat_state(params), PhasePoint(alphas, betas))
+        assert np.abs(w - w_ref).max() <= 1e-13
+
+    def test_boundary_theta_under_kernel_evaluator(self):
+        from spincat.sweep import evaluate_grid
+
+        params = CatParams(5.0, np.pi, 0.0, 0.0, 0.0)
+        grid = GridSpec(axes=(("q1", -3.0, 3.0, 9),), fixed={"p2": 0.5})
+        result = evaluate_grid(params, grid, evaluator="kernel")
+        w_ref, _ = pure_point_values(cat_state(params), PhasePoint(*grid.amplitudes()))
+        assert np.abs(result.column("W") - w_ref).max() <= 1e-13
+        assert result.column("I").min() >= 0.0
+
+    def test_sweep_calls_the_oracle_on_at_most_seven_records(self, monkeypatch):
+        import spincat.sweep
+
+        seen = []
+
+        def recording(psi, point):
+            seen.append(np.size(point.alpha))
+            return pure_point_values(psi, point)
+
+        monkeypatch.setattr(spincat.sweep, "pure_point_values", recording)
+        spincat.sweep.run_preset("fig1a")
+        assert len(seen) == 1 and seen[0] <= 7
