@@ -319,7 +319,8 @@ class DensityMatrix:
         return self.entries.reshape(c.dim1, c.dim2, c.dim1, c.dim2)
 
     def purity(self) -> float:
-        return float(np.real(np.vdot(self.entries, self.entries)))
+        # a ufunc sum of squares: a BLAS dot can stall for milliseconds here
+        return float(np.square(np.ravel(self.entries).view(float)).sum())
 
     def mode_support(self) -> tuple[int, int]:
         """Smallest (d1, d2) block outside which all entries vanish."""

@@ -38,18 +38,32 @@ A[a,b,d,c] = S[a,b,a+b-d,d] k1[a+b-d,c], with flat indices and root weights
 fixed once per state.  A rho that couples different N takes dense
 contractions on its support block instead.
 
-The rho and P contractions run once per distinct alpha, in one
-SkewEvaluator.values call for all of that alpha's points.  Since
-Delta(r e^(i phi))[m, n] = e^(i (m-n) phi) Delta(r)[m, n] with Delta(r) real,
-k is built once per distinct modulus r, as real k(r), in chunks whose real
-blocks fit CHUNK_BYTES; a value's phase pattern is applied only when that
-value is evaluated.
+Since Delta(r e^(i phi))[m, n] = e^(i (m-n) phi) Delta(r)[m, n] with Delta(r)
+real, k is built once per distinct modulus r, as real k(r), in chunks whose
+real blocks fit CHUNK_BYTES.  For N-blocks the phase of alpha = r e^(i phi)
+factors out of both contractions, since x = a + b - d:
+
+    P(alpha)[b,d,f,e] = e^(i (b-d+f-e) phi) P(r)[b,d,f,e],
+    m(alpha)[b,d]     = e^(i (b-d) phi) m(r)[b,d],
+
+and both patterns fold onto beta's block, k2'[x,y] = e^(-i (x-y) phi) k2[x,y],
+which is Delta(beta e^(-i phi)).  So P(r) and m(r) are built once per distinct
+modulus from the real k(r), and each distinct alpha's SkewEvaluator.values
+call, one for all of its points, takes two small contractions against its
+betas' k2'.  A preset cat has phi1, phi2 in {0, 2 pi}, which
+states.spin_coherent_amplitudes reduces to 0: its amplitudes and rho' are
+then exactly real, and so are the N-block roots (eigh keeps them real; the
+engine checks), so P(r) is one real GEMM per modulus.
+Complex root weights (any other phi) take the same route in complex
+arithmetic.  A rho that couples different N gets m and P per distinct alpha
+from its own complex block.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import atan2, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,32 +105,41 @@ def _tall_bytes(r: float, block: int) -> float:
 
 
 def _kernel_blocks(values, block: int):
-    """(i, k) for every values[i]: k = Delta(values[i]) on levels < block.
+    """(k, members) for every distinct modulus r of ``values``: k = Delta(r)
+    on levels < block, real, and members the (i, phi) with values[i] =
+    r e^(i phi), so that Delta(values[i]) = _phased(k, phi).
 
     Moduli go in ascending order, one real single_mode_kernel call per chunk
-    of CHUNK_BYTES // (8 block^2) of them (at least one); a value's phases
-    are applied as it is yielded.
+    of CHUNK_BYTES // (8 block^2) of them (at least one).
     """
     members = {}  # modulus: [(index, phase)], without numpy's float sort
     for i, v in enumerate(np.ravel(values).tolist()):
         members.setdefault(abs(v), []).append((i, atan2(v.imag, v.real)))
     moduli = sorted(members)
     per_chunk = max(1, CHUNK_BYTES // (8 * block * block))
-    levels = np.arange(block)
     for lo in range(0, len(moduli), per_chunk):
         chunk = moduli[lo:lo + per_chunk]
-        for k_r, r in zip(single_mode_kernel(np.array(chunk), block - 1, block), chunk):
-            for i, phi in members[r]:
-                u = np.exp(1j * phi * levels)
-                yield i, u[:, None] * k_r * u.conj()
+        for k, r in zip(single_mode_kernel(np.array(chunk), block - 1, block), chunk):
+            yield k, members[r]
 
 
-def _kernel_stack(values, block: int) -> np.ndarray:
-    """The blocks k[i] of every values[i], stacked in a fresh array."""
-    k = np.empty((np.size(values), block, block), dtype=complex)
-    for i, k_i in _kernel_blocks(values, block):
-        k[i] = k_i
-    return k
+def _phased(k: np.ndarray, phi) -> np.ndarray:
+    """U k U^H with U = diag(e^(i n phi)), a fresh complex array: Delta(r e^(i phi))
+    from k = Delta(r), for one block and a float phi, or a stack and a column
+    phi[i, 0] per block."""
+    u = np.exp(1j * phi * np.arange(k.shape[-1]))
+    return u[..., None] * k * u[..., None, :].conj()
+
+
+def _kernel_stack(values, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, phi): the real blocks k[i] = Delta(|values[i]|), stacked in a fresh
+    array, and the phases phi[i, 0] of values[i], so _phased(k, phi) is the
+    stack of Delta(values[i])."""
+    k, phi = np.empty((np.size(values), block, block)), np.empty((np.size(values), 1))
+    for k_r, members in _kernel_blocks(values, block):
+        for i, t in members:
+            k[i], phi[i] = k_r, t
+    return k, phi
 
 
 def _audit(kind: str, coords: np.ndarray, column: str, written, reference) -> None:
@@ -139,7 +162,9 @@ def _shell_kernel_mean(params: CatParams, alphas, betas) -> np.ndarray:
     1-d arrays: the shell sum (wigner._shell_sum) over the exact square
     kernel blocks of its 2j + 1 levels (_kernel_blocks)."""
     def blocks(values):
-        return _kernel_blocks(values, params.twoj + 1)
+        for k, members in _kernel_blocks(values, params.twoj + 1):
+            for i, phi in members:
+                yield i, _phased(k, phi)
 
     return _shell_sum(params, alphas, betas, blocks, blocks)
 
@@ -189,6 +214,11 @@ def pure_point_values(psi: StateVector, point: PhasePoint):
     return w, skew
 
 
+class _Batch(NamedTuple):  # grid()'s points of one alpha, checked there, not per call
+    alpha: complex
+    beta: np.ndarray
+
+
 class SkewEvaluator:
     """Skew-information engine for one state over any set of phase points.
 
@@ -210,7 +240,7 @@ class SkewEvaluator:
 
     @cached_property
     def _root(self) -> tuple:
-        """(rows, band, (idx, wt)) for _pair_product and _kernel_mean.
+        """(rows, band, (idx, wt)) for _pair_product and _band.
 
         A factor of P has rows j, the pairs (a, c) = (pa[j], pc[j]), a <= c,
         and columns (b, d), and is src.flat[idx] * wt with src = k1 when
@@ -236,60 +266,74 @@ class SkewEvaluator:
         a, b, d = np.ogrid[:d1, :d2, :d2]
         x = np.clip(a + b - d, 0, d1 - 1)  # s and the band are 0 where clipped
         band = self.block.reshape(d1, d2, d1, d2)[a, b, x, d] * (x == a + b - d)
+        if not (band.imag.any() or s.imag.any()):  # real amplitudes: eigh keeps them real
+            s, band = s.real, band.real
         x, s = x.reshape(d1, -1), s.reshape(d1, -1)
         return None, (x * d1 + a[:, 0], band.reshape(d1, -1)), (
             np.stack([x[pa] * d1 + pc[:, None], x[pc] * d1 + pa[:, None]]),
             np.stack([s[pa] * half, s[pc]]))
 
-    def _kernel_mean(self, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-        """W = sum rho[a,b,x,y] k1[x,a] k2[p][y,b] for every stacked k2[p]."""
+    def _band(self, k1: np.ndarray) -> np.ndarray:
+        """m[b, y] = sum rho[a,b,x,y] k1[x,a], so that W = sum m[b,y] k2[y,b]."""
         d1, d2 = self.d1, self.d2
         _, band, _ = self._root
         if band is None:
-            m = np.einsum("abxy,xa->by", self.block.reshape(d1, d2, d1, d2), k1)
-        else:
-            m = (np.take(k1, band[0]) * band[1]).sum(axis=0).reshape(d2, d2)
-        return np.einsum("pyb,by->p", k2, m)
+            return np.einsum("abxy,xa->by", self.block.reshape(d1, d2, d1, d2), k1)
+        return (np.take(k1, band[0]) * band[1]).sum(axis=0).reshape(d2, d2)
 
     def _pair_product(self, k1: np.ndarray) -> np.ndarray:
-        """P[(b, d), (f, e)] = sum_{a,c} A[a,b,d,c] A[c,f,e,a] at one alpha, as
-        X + X^T with X = M + D D^T / 2 over the pairs a <= c."""
+        """P[(b, d), (f, e)] = sum_{a,c} A[a,b,d,c] A[c,f,e,a] at one kernel
+        block k1, as X + X^T with X = M + D D^T / 2 over the pairs a <= c."""
         rows, _, (idx, wt) = self._root
-        g = np.take(k1 if rows is None else rows @ k1, idx)
-        g *= wt
+        g = np.take(k1 if rows is None else rows @ k1, idx) * wt
         x = g[0].T @ g[1]
         return x + x.T
 
     def grid(self, alphas, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(W, variance, skew) arrays at the points (alphas[i], betas[i]): one
-        values() call per distinct alpha.  Each distinct beta's kernel block
-        is built once; the alphas' chunk by chunk, so no stack of all alpha
-        blocks is held."""
+        values() call per distinct alpha.  Each distinct beta's real kernel
+        block is built once, and the alphas' chunk by chunk, so no stack of
+        all alpha blocks is held.  With N-blocks, each distinct modulus |alpha|
+        gets one band and one P from its real block, and alpha's phase goes
+        onto its betas' blocks; otherwise each alpha gets both from its own."""
         alphas, betas = np.ravel(alphas), np.ravel(betas)
+        if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
+            raise ValueError("phase points must be finite, got a non-finite alpha or beta")
         out = np.empty((3, alphas.size))
-        self._root  # the root's eigh before, not beside, a chunk of alpha blocks
+        dense = self._root[0] is not None  # the root's eigh before a chunk of alpha blocks
         b_vals, b_idx = np.unique(betas, return_inverse=True)
-        k2 = _kernel_stack(b_vals, self.d2)
+        k2, psi = _kernel_stack(b_vals, self.d2)
         a_vals, groups = axis_groups(alphas)
-        for i, k1 in _kernel_blocks(a_vals, self.d1):
-            at = groups[i]
-            out[:, at] = self.values(PhasePoint(a_vals[i], betas[at]), k2[b_idx[at]], k1)
+        for k, members in _kernel_blocks(a_vals, self.d1):
+            if not dense:
+                mode1 = self._band(k), self._pair_product(k)
+            for i, phi in members:
+                if dense:
+                    k1 = _phased(k, phi)
+                    mode1, phi = (self._band(k1), self._pair_product(k1)), 0.0
+                at, b = groups[i], b_idx[groups[i]]
+                out[:, at] = self.values(_Batch(a_vals[i], betas[at]),
+                                         _phased(k2[b], psi[b] - phi), mode1)
         return out[0], out[1], out[2]
 
     def values(self, point: PhasePoint, mode2: np.ndarray | None = None,
-               mode1: np.ndarray | None = None):
+               mode1: tuple | None = None):
         """(W, variance, skew) at the points (point.alpha, point.beta), which
         broadcast against each other and go through grid(): floats for one
         point, 1-d arrays in C order for a batch.  grid() calls values() once
-        per distinct alpha, with ``mode1`` the kernel block of that alpha and
-        ``mode2`` the stacked blocks of point.beta, its betas."""
+        per distinct alpha, with ``mode1`` = (_band(k1), _pair_product(k1))
+        and ``mode2`` the stacked blocks k2 of point.beta, its betas: k1 (x) k2
+        is Delta(alpha) (x) Delta(beta), or for N-blocks its rotation by
+        e^(-i phi N), alpha = |alpha| e^(i phi), which leaves W and I as they
+        are (see the module docstring)."""
         if mode1 is None and mode2 is None:
             out = self.grid(*np.broadcast_arrays(point.alpha, point.beta))
             if np.ndim(point.alpha) == np.ndim(point.beta) == 0:
                 return tuple(float(v[0]) for v in out)
             return out
-        w = _as_real(self._kernel_mean(mode1, mode2), "kernel mean")
-        p = self._pair_product(mode1).reshape((self.d2,) * 4)
+        m, p = mode1
+        w = _as_real(np.einsum("pyb,by->p", mode2, m), "kernel mean")
+        p = p.reshape((self.d2,) * 4)
         skew = self.trace - np.einsum("bdfe,pdf,peb->p", p, mode2, mode2).real
         if skew.min() < SKEW_CLAMP:
             raise ArithmeticError(

@@ -108,12 +108,14 @@ def spin_coherent_amplitudes(j: float, theta: float, phi: float) -> np.ndarray:
     The expansion is normalized by construction (binomial theorem).  Each
     magnitude is sqrt(binom(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k, with
     the binomial taken as an exact integer before its one rounding to float.
+    The phase e^(-i phi k) is taken with phi reduced mod 2 pi, exact for an
+    integer k, so phi = 2 pi gives the real amplitudes of phi = 0.
     """
     twoj = _check_half_integer(j)
     k = np.arange(twoj + 1)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     mag = np.sqrt([float(comb(twoj, v)) for v in range(twoj + 1)]) * c ** (twoj - k) * s**k
-    return mag * np.exp(-1j * phi * k)
+    return mag * np.exp(-1j * (phi % (2 * np.pi)) * k)
 
 
 def _shell_vector(amps: np.ndarray, j: float, cutoff: FockCutoff) -> StateVector:

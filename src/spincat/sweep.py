@@ -31,16 +31,17 @@ above skewinfo.AUDIT_TOL, or a NaN, raises ArithmeticError (skewinfo._audit).
 Apart from the oracles on their few records, the grid is evaluated in
 batches: the square-block route, the closed form, the Gaussian-branch
 surrogate and the skew engine (skewinfo.SkewEvaluator.grid) build their
-single-mode factors once per distinct alpha and per distinct beta.  Kernel
-blocks on the state's support come from real displacement recurrences, one
-per distinct modulus, in chunks whose real blocks fit skewinfo.CHUNK_BYTES;
-the channel's closed-form Kraus maps need none.
+single-mode factors once per distinct alpha and per distinct beta (the skew
+engine's mode-1 products once per distinct |alpha|).  Kernel blocks on the
+state's support come from real displacement recurrences, one per distinct
+modulus, in chunks whose real blocks fit skewinfo.CHUNK_BYTES; the channel's
+closed-form Kraus maps need none.
 
 CSV output is a single '# meta: {json}' comment line with sorted keys, a
 fixed header, and numbers rendered with 17 significant digits.  It is
 bit-deterministic on one machine at one BLAS thread count; a second OpenBLAS
-thread leaves fig5a at j = 1 and fig3a byte-identical, but moves the last bit
-of I in 11 of fig5e's 201 rows (see README).
+thread leaves fig5a at j = 1, fig3a and fig5e byte-identical, but moves the
+last bit of I in 8 of the 201 rows of fig5a at j = 5 (see README).
 
 Both writers work in chunks of CHUNK_ROWS records, with one write call per
 chunk, so their working set does not grow with the grid.  Each distinct value

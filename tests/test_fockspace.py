@@ -142,15 +142,15 @@ class TestDisplacementStack:
         # the kernel blocks are built in chunks of distinct moduli whose real
         # blocks fit skewinfo.CHUNK_BYTES; the amplitudes repeat moduli
         import spincat.skewinfo
-        from spincat.skewinfo import _kernel_stack
+        from spincat.skewinfo import _kernel_stack, _phased
 
         values = self.AMPLITUDES / 2
-        whole = _kernel_stack(values, 4)
+        whole = _phased(*_kernel_stack(values, 4))
         assert np.array_equal(whole, single_mode_kernel(values, 3, 4))
         # one modulus per chunk, and two
         for budget in (1, 2 * 4 * 4 * 8):
             monkeypatch.setattr(spincat.skewinfo, "CHUNK_BYTES", budget)
-            assert np.array_equal(_kernel_stack(values, 4), whole)
+            assert np.array_equal(_phased(*_kernel_stack(values, 4)), whole)
 
     def test_kernel_stack_equals_per_amplitude_calls(self):
         stack = single_mode_kernel(self.AMPLITUDES / 2, 60, 2)

@@ -41,6 +41,34 @@ def fig5e_state():
     return apply_channel_density(density_from_vector(cat_state(params)), channel)
 
 
+def complex_cat_state():
+    """The j = 5/2 cat with phi1 = pi/3 behind the s = 1 channel: its shell
+    amplitudes, and so its root weights, are complex."""
+    params = CatParams(2.5, np.pi / 3, np.pi / 2, np.pi / 3, 2 * np.pi)
+    return apply_channel_density(density_from_vector(cat_state(params)), ChannelParams(1.0))
+
+
+def kronecker_reference(rho, alphas, betas):
+    """(variance, skew) at the points (alphas[i], betas[i]): Tr[rho Delta^2]
+    from the Gram matrices of tail-extended kernel columns, and Kronecker
+    products of the two modes' blocks on rho's support, one point at a time."""
+    from spincat.fockspace import hermitian_sqrt
+    from spincat.skewinfo import _kernel_columns
+
+    d1, d2 = rho.mode_support()
+    block = rho.as_modes()[:d1, :d2, :d1, :d2].reshape(d1 * d2, d1 * d2)
+    root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), block)).entries
+    out = np.empty((2, len(alphas)))
+    for i, (a, b) in enumerate(zip(alphas, betas)):
+        c1, c2 = _kernel_columns(a, d1), _kernel_columns(b, d2)
+        delta = np.kron(c1[:d1], c2[:d2])
+        w_ref = np.trace(block @ delta).real
+        t1 = np.trace(block @ np.kron(c1.conj().T @ c1, c2.conj().T @ c2)).real
+        sd = root @ delta
+        out[:, i] = t1 - w_ref**2, max(t1 - np.trace(sd @ sd).real, 0.0)
+    return out
+
+
 def vacuum_density(n_max=2):
     cut = FockCutoff(n_max)
     m = np.zeros((cut.dim, cut.dim), dtype=complex)
@@ -188,6 +216,13 @@ class TestGridEngine:
             assert engine.values(PhasePoint(a, b)) == pytest.approx((w[i], var[i], skew[i]),
                                                                      abs=1e-15)
 
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 0.2), (0.3, complex(0.0, np.nan)),
+                                             (complex(np.inf, 1.0), 0.0)])
+    def test_grid_refuses_non_finite_points(self, alpha, beta):
+        engine = SkewEvaluator(vacuum_density())
+        with pytest.raises(ValueError, match="finite"):
+            engine.grid(np.array([0.1, alpha]), np.array([0.0, beta]))
+
     def test_grid_calls_values_once_per_distinct_alpha(self, monkeypatch):
         rho = apply_channel_density(density_from_vector(cat_state(HALF_CAT)),
                                     ChannelParams(1.0))
@@ -210,15 +245,19 @@ class TestGridEngine:
                                                                      abs=1e-15)
 
     def test_factor_stacks_hold_no_views_of_kernel_columns(self):
-        from spincat.skewinfo import _kernel_blocks, _kernel_stack
+        # the real blocks of one modulus are views of their chunk; what is
+        # held beyond it (stacks, phased blocks) is a fresh array
+        from spincat.skewinfo import _kernel_blocks, _kernel_stack, _phased
 
         values = np.array([0.0, 0.7, -1.3 + 0.2j, 3.0j])
-        k = _kernel_stack(values, 4)
-        assert k.base is None
+        k, phi = _kernel_stack(values, 4)
+        assert k.base is None and phi.base is None
         assert k.shape == (4, 4, 4)
-        assert k.nbytes == 4 * 4 * 4 * 16
-        for _, block in _kernel_blocks(values, 4):
-            assert block.base is None
+        assert k.nbytes == 4 * 4 * 4 * 8
+        for block, members in _kernel_blocks(values, 4):
+            assert block.dtype == float
+            for _, t in members:
+                assert _phased(block, t).base is None
 
     @pytest.mark.parametrize("preset", ["fig5a", "fig5g"])
     def test_noisy_budget_stays_within_trace(self, preset):
@@ -230,69 +269,97 @@ class TestGridEngine:
         assert (skew + w * w).max() <= rho.entries.trace().real + 1e-15
 
     @pytest.mark.parametrize("preset, j", [("fig3a", None), ("fig5a", 1.0), ("fig5g", 1.0),
-                                           ("fig5e", 2.5), ("coherent", None)])
+                                           ("fig5e", 2.5), ("coherent", None),
+                                           ("complex", None)])
     def test_engine_matches_gram_kronecker_reference(self, preset, j):
-        # reference: Tr[rho Delta^2] from the Gram matrices of tail-extended
-        # kernel columns, and Kronecker products of the two modes' blocks.
         # "coherent" (coherent_channel_state) has a root that couples
         # different N = n1 + n2, so the engine multiplies the dense root rows
-        # instead of gathering one entry per row
-        from spincat.fockspace import hermitian_sqrt
-        from spincat.skewinfo import _kernel_columns
-
+        # instead of gathering one entry per row; "complex" has complex root
+        # weights, where every preset's are real
         if preset == "coherent":
             rho = coherent_channel_state()
             grid = GridSpec(axes=(("q1", -2.0, 2.0, 11), ("p2", -2.0, 2.0, 11)))
+        elif preset == "complex":
+            rho = complex_cat_state()
+            grid = GridSpec(axes=(("p1", -2.0, 2.0, 11), ("q2", -2.0, 2.0, 11)),
+                            fixed={"q1": 0.7})
         else:
             params, channel, grid = PRESETS[preset].build(j, None)
             rho = apply_channel_density(density_from_vector(cat_state(params)), channel)
-        d1, d2 = rho.mode_support()
-        block = rho.as_modes()[:d1, :d2, :d1, :d2].reshape(d1 * d2, d1 * d2)
-        root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), block)).entries
         alphas, betas = grid.amplitudes()
         picks = np.linspace(0, len(alphas) - 1, 5).astype(int)
         picks[2] = len(alphas) // 3  # off the symmetric midpoint of a 2-d grid
         engine = SkewEvaluator(rho)
         _, var, skew = engine.grid(alphas[picks], betas[picks])
         assert (engine._root[1] is None) == (preset == "coherent")
-        for i, (a, b) in enumerate(zip(alphas[picks], betas[picks])):
-            c1, c2 = _kernel_columns(a, d1), _kernel_columns(b, d2)
-            delta = np.kron(c1[:d1], c2[:d2])
-            w_ref = np.trace(block @ delta).real
-            t1 = np.trace(block @ np.kron(c1.conj().T @ c1, c2.conj().T @ c2)).real
-            sd = root @ delta
-            assert abs(var[i] - (t1 - w_ref**2)) < 1e-12
-            assert abs(skew[i] - max(t1 - np.trace(sd @ sd).real, 0.0)) < 1e-12
+        if preset != "coherent":  # the root weights of the N-block gathers
+            assert np.iscomplexobj(engine._root[2][1]) == (preset == "complex")
+        var_ref, skew_ref = kronecker_reference(rho, alphas[picks], betas[picks])
+        assert np.abs(var - var_ref).max() < 1e-12
+        assert np.abs(skew - skew_ref).max() < 1e-12
+
+    @pytest.mark.parametrize("state", [fig5e_state, complex_cat_state, coherent_channel_state])
+    def test_alpha_phases_of_one_modulus_match_kronecker_reference(self, state):
+        # N-block states take one P per modulus |alpha| and fold alpha's
+        # phase onto beta's block; the dense root takes one P per alpha
+        rho = state()
+        alphas = np.array([1.3, -1.3, 1.3j, -1.3j, 0.5, 0.3 + 0.4j, -0.4 + 0.3j, -0.5j,
+                           0.3 - 0.4j, -0.3 - 0.4j])
+        assert len({abs(a) for a in alphas.tolist()}) == 2
+        betas = np.resize([0.0, -0.7 + 0.5j, 1.1], alphas.size)
+        w, var, skew = SkewEvaluator(rho).grid(alphas, betas)
+        var_ref, skew_ref = kronecker_reference(rho, alphas, betas)
+        assert np.abs(var - var_ref).max() < 1e-12
+        assert np.abs(skew - skew_ref).max() < 1e-12
+        assert skew.min() > 1e-3  # not only clamped zeros
+
+    def test_one_real_pair_product_per_modulus(self, monkeypatch):
+        # x, -x and i x share a modulus, as fig5a's alphas +-q1 / sqrt(2) do
+        engine = SkewEvaluator(fig5e_state())
+        original = SkewEvaluator._pair_product
+        products = []
+
+        def recording(self, k1):
+            products.append(original(self, k1))
+            assert k1.dtype == float
+            return products[-1]
+
+        monkeypatch.setattr(SkewEvaluator, "_pair_product", recording)
+        alphas = np.array([-1.5, 1.5, 1.5j, -0.5, -0.5j, 0.0, 0.0])
+        engine.grid(alphas, np.zeros(alphas.size))
+        assert len(products) == 3
+        assert all(p.dtype == float for p in products)
 
     @pytest.mark.parametrize("state", [fig5e_state, coherent_channel_state])
     def test_split_pair_product_equals_full_product(self, state):
         # reference: A from the dense root rows, and P as one product over
         # every (a, c) against a transposed copy of A
         from spincat.fockspace import hermitian_sqrt
-        from spincat.skewinfo import _kernel_stack
+        from spincat.skewinfo import _kernel_stack, _phased
 
         engine = SkewEvaluator(state())
         d1, d2 = engine.d1, engine.d2
         root = hermitian_sqrt(DensityMatrix(FockCutoff(d1 - 1, d2 - 1), engine.block)).entries
         rows = root.reshape(d1, d2, d1, d2).transpose(1, 3, 0, 2).reshape(d2 * d2 * d1, d1)
         assert (engine._root[0] is None) == (state is fig5e_state)
-        for k1 in _kernel_stack(np.array([0.0, 0.7 - 1.1j, -2.4j]), d1):
+        for k1 in _phased(*_kernel_stack(np.array([0.0, 0.7 - 1.1j, -2.4j]), d1)):
             a = (rows @ k1).reshape(d2 * d2, d1, d1)  # A[a,b,d,c] as [(b, d), a, c]
             full = a.reshape(d2 * d2, -1) @ a.transpose(0, 2, 1).reshape(d2 * d2, -1).T
             split = engine._pair_product(k1)
             assert np.abs(split - full).max() <= 1e-15 * np.abs(full).max()
 
     def test_band_kernel_mean_equals_dense_contraction(self):
-        from spincat.skewinfo import _kernel_stack
+        from spincat.skewinfo import _kernel_stack, _phased
 
         engine = SkewEvaluator(fig5e_state())
         d1, d2 = engine.d1, engine.d2
         assert engine._root[1] is not None
         rho4 = engine.block.reshape(d1, d2, d1, d2)
-        k2 = _kernel_stack(np.array([0.0, 0.3 + 0.9j, -1.7]), d2)
-        for k1 in _kernel_stack(np.array([0.0, 0.7 - 1.1j, -2.4j]), d1):
+        k2 = _phased(*_kernel_stack(np.array([0.0, 0.3 + 0.9j, -1.7]), d2))
+        for k1 in _phased(*_kernel_stack(np.array([0.0, 0.7 - 1.1j, -2.4j]), d1)):
             dense = np.einsum("abxy,xa,pyb->p", rho4, k1, k2)
-            assert np.abs(engine._kernel_mean(k1, k2) - dense).max() <= 1e-15
+            w = np.einsum("pyb,by->p", k2, engine._band(k1))
+            assert np.abs(w - dense).max() <= 1e-15
 
     @pytest.mark.parametrize("preset, j, limit_mb", [("fig3a", None, 4.0), ("fig5a", 1.0, 5.0),
                                                   ("fig5e", 2.5, 7.5)])

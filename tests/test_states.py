@@ -120,6 +120,14 @@ class TestSpinCoherent:
                     ref = mp.sqrt(mp.binomial(twoj, k)) * c ** (twoj - k) * s**k
                     assert abs(amps[k].real - ref) <= 1e-16, (theta, k)
 
+    @pytest.mark.parametrize("j", [0.5, 2.5, 10.0])
+    def test_two_pi_phase_is_the_real_zero_phase(self, j):
+        # phi is reduced mod 2 pi before e^(-i phi k), so the fig2/fig5 cat's
+        # phi2 = 2 pi branch carries no rounding residue
+        amps = spin_coherent_amplitudes(j, np.pi / 2, 2 * np.pi)
+        assert np.array_equal(amps, spin_coherent_amplitudes(j, np.pi / 2, 0.0))
+        assert not amps.imag.any()
+
     def test_shell_support(self):
         for _ in range(10):
             j = float(RNG.choice([0.5, 1.0, 2.5]))
